@@ -3,13 +3,10 @@ the circle: generalized Gegenbauer polynomials, commuting integrals of
 motion, and raising/lowering operators."""
 
 from .scalars import (
-    GaussRational,
     KappaPolynomial,
     KappaRational,
     KappaPole,
     KappaZeroDivision,
-    NonRealDenominator,
-    Rational,
     SpectralDegeneracy,
     kappa,
     kr,

@@ -223,7 +223,7 @@ def _solve_eigen(m: Weight, N: int, kappa: Optional[Fraction]) -> ZPolynomial:
     cone = dominated_weights(m)  # sorted leading-first
     eps: dict[Weight, KappaPolynomial] = {w: epsilon2(w, N) for w in cone}
     if kappa is not None:
-        eps_num: dict[Weight, Fraction] = {w: e(kappa).re for w, e in eps.items()}
+        eps_num: dict[Weight, Fraction] = {w: e(kappa) for w, e in eps.items()}
         for w in cone[1:]:
             if eps_num[w] == eps_num[m]:
                 raise SpectralDegeneracy(f"spectral degeneracy at κ={kappa}")

@@ -11,9 +11,12 @@ fixed once, for x_j on the unit circle:
 A term of order j is a product of curvature pairs, gauge factors and
 derivative factors over j distinct particle indices, summed over all
 non-equivalent index assignments; the kappa power of a term is the number
-of gauge factors plus twice the number of curvature pairs.  Applying the
-engine to a polynomial and subtracting its action on 1 realizes normal
-ordering semantically.
+of gauge factors plus twice the number of curvature pairs.  The engine works
+with the real B_j and the real momentum x_j d/dx_j - d/N; every factor of i
+is collected into one real integer per term shape (``TermShape.prefactor``),
+so all arithmetic stays over the rationals.  Applying the engine to a
+polynomial and subtracting its action on 1 realizes normal ordering
+semantically.
 
 ``apply_integral(2, . )`` is normalized to have the non-negative spectrum
 (its eigenvalue on an eigenpolynomial is the excitation energy); higher
@@ -30,9 +33,6 @@ from fractions import Fraction
 from typing import Optional
 
 from .scalars import (
-    GR_I,
-    GR_ONE,
-    GaussRational,
     KappaPolynomial,
     KappaRational,
     kr,
@@ -68,7 +68,7 @@ class ConventionMismatch(EngineError):
 # ---------------------------------------------------------------------------
 
 def apply_momentum(f: XPolynomial, j: int) -> XPolynomial:
-    """Baricentric momentum: x_j d/dx_j - d/N on each homogeneous component."""
+    """Barycentric momentum: x_j d/dx_j - d/N on each homogeneous component."""
     N = f.nvars
     if not 1 <= j <= N:
         raise ValueError(f"index {j} out of range")
@@ -82,47 +82,26 @@ def apply_momentum(f: XPolynomial, j: int) -> XPolynomial:
     return XPolynomial(N, out)
 
 
-def _momentum_on_component(f: XPolynomial, j: int, degree: int) -> XPolynomial:
-    ji = j - 1
-    N = f.nvars
-    out: dict[tuple, KappaRational] = {}
-    for e, c in f.terms.items():
-        factor = Fraction(e[ji] * N - degree, N)
-        if factor:
-            out[e] = c * kr(factor)
-    return XPolynomial(N, out)
-
-
 def pair_potential(nvars: int, j: int, k: int) -> XRational:
-    """i (x_j + x_k) / (x_j - x_k), the one-pair gauge summand; antisymmetric
+    """(x_j + x_k) / (x_j - x_k), the one-pair summand of B_j; antisymmetric
     under swapping j and k."""
-    sign = 1
+    num = XPolynomial.variable(nvars, j) + XPolynomial.variable(nvars, k)
     if j > k:
         j, k = k, j
-        sign = -1
-    num = (XPolynomial.variable(nvars, j) + XPolynomial.variable(nvars, k))
-    num = num.scale(KappaRational(KappaPolynomial.const(GR_I.__mul__(sign))))
+        num = -num
     return XRational(num, {(j, k): 1})
 
 
 @functools.lru_cache(maxsize=None)
 def _gauge_row(N: int, j: int) -> XRational:
-    """The full gauge potential i*B_j over one common row denominator."""
-    parts = []
-    for k in range(1, N + 1):
-        if k == j:
-            continue
-        a, b = (j, k) if j < k else (k, j)
-        sign = GR_I if j < k else -GR_I
-        num = (XPolynomial.variable(N, j) + XPolynomial.variable(N, k))
-        num = num.scale(KappaRational(KappaPolynomial.const(sign)))
-        parts.append(XRational(num, {(a, b): 1}))
-    return xr_sum(parts, N)
+    """The real gauge row B_j over one common row denominator."""
+    return xr_sum((pair_potential(N, j, k) for k in range(1, N + 1) if k != j), N)
 
 
 def apply_gauge_potential(f: XRational, j: int) -> XRational:
-    """Multiply by the gauge potential of particle j (exact, imaginary unit
-    carried in the scalar; denominators recorded, reduction stays lazy)."""
+    """Multiply by the real gauge row B_j of particle j; the factor i of
+    A_j = i*B_j is carried by TermShape.prefactor (exact; denominators
+    recorded, reduction stays lazy)."""
     N = f.nvars
     if not 1 <= j <= N:
         raise ValueError(f"index {j} out of range")
@@ -166,14 +145,13 @@ class TermShape:
         return self.gauge + 2 * self.curv
 
     @property
-    def prefactor(self) -> GaussRational:
-        """(-i)^order * (2i)^mom; gauge factors carry their own i."""
-        out = GR_ONE
-        for _ in range(self.order):
-            out = out * GaussRational(0, -1)
-        for _ in range(self.mom):
-            out = out * GaussRational(0, 2)
-        return out
+    def prefactor(self) -> int:
+        """(-i)^order * (2i)^mom * i^gauge, the factors of i from the
+        expansion, the derivative factors and the gauge factors.  Since
+        order = 2*curv + gauge + mom this equals the real integer
+        (-1)^(order + curv + gauge + mom) * 2^mom."""
+        sign = -1 if (self.order + self.curv + self.gauge + self.mom) % 2 else 1
+        return sign * 2 ** self.mom
 
 
 _TERM_TABLE: dict[int, tuple[TermShape, ...]] = {
@@ -208,7 +186,6 @@ def _engine_monomial(order: int, w: Weight, N: int) -> ZPolynomial:
         if hit is not None:
             return hit
         f = _lift_monomial(N, w)
-        degree = weighted_degree(w)
         indices = range(1, N + 1)
         parts: list[XRational] = []
         for shape in integral_term_table(order):
@@ -218,7 +195,7 @@ def _engine_monomial(order: int, w: Weight, N: int) -> ZPolynomial:
             for mset in itertools.combinations(indices, shape.mom):
                 g = f
                 for a in mset:
-                    g = _momentum_on_component(g, a, degree)
+                    g = apply_momentum(g, a)
                 if g.is_zero:
                     continue
                 rest = [a for a in indices if a not in mset]
@@ -236,9 +213,6 @@ def _engine_monomial(order: int, w: Weight, N: int) -> ZPolynomial:
         total = xr_sum(parts, N)
         poly = divide_exact(total)
         result = project(poly)
-        if not result.is_real():
-            raise EngineError(
-                f"non-real engine output for order {order}, weight {w}")
         _monomial_cache[key] = result
         return result
 
@@ -287,6 +261,9 @@ class ZOperator:
 
     def __setattr__(self, name, value):
         raise AttributeError("ZOperator is immutable")
+
+    def __reduce__(self):
+        return ZOperator, (self.rank, self.terms)
 
     def apply(self, p: ZPolynomial) -> ZPolynomial:
         if p.rank != self.rank:
@@ -412,10 +389,7 @@ def calibrate(N: int) -> Calibration:
             if not scale_val.is_constant:
                 raise ConventionMismatch(
                     f"order {j} scale is not a rational constant: {scale_val!r}")
-            gr = scale_val.constant_value()
-            if not gr.is_real:
-                raise ConventionMismatch(f"order {j} scale is not real")
-            scale = Fraction(gr.re)
+            scale = Fraction(scale_val.constant_value())
             for w, vec in zip(weights, vectors):
                 lhs = apply_integral(j, vec, N).scale(kr(scale)) + vec.scale(offset)
                 rhs = vec.scale(gg.l_elementary(w, N, j))

@@ -1,21 +1,18 @@
-"""Exact scalar arithmetic: Gaussian rationals and rational functions of the
-coupling parameter kappa.
+"""Exact scalar arithmetic: rational functions of the coupling parameter kappa.
 
 The scalar tower is
 
-    Fraction  ->  GaussRational  ->  KappaPolynomial  ->  KappaRational
+    Q  ->  KappaPolynomial  ->  KappaRational
 
+with ``Q`` the rationals (``gmpy2.mpq`` when installed, else ``Fraction``),
 and ``KappaRational`` is the coefficient field used by every polynomial layer
-in the package.  Gaussian rationals are carried internally because the
-operator engine picks up explicit factors of the imaginary unit; all public
-results are asserted real rather than proven real term by term.
+in the package.  Every scalar is real: the operator engine folds its factors
+of the imaginary unit into one real sign per term shape.
 
 Every value is immutable and kept in a canonical form, so equality of
 representations is equality of values.  Canonical form of ``num/den``:
 
-* gcd(num, den) = 1 as polynomials over the Gaussian rationals,
-* den has real coefficients (division by a genuinely non-real polynomial
-  is rejected),
+* gcd(num, den) = 1 as polynomials over the rationals,
 * num and den are jointly scaled by one positive rational so that their
   coefficients are coprime integers and den's leading coefficient is a
   positive rational.
@@ -30,8 +27,6 @@ try:  # GMP-backed rationals are interchangeable with Fraction and much faster
     from gmpy2 import mpq as Q
 except ImportError:  # pragma: no cover
     Q = Fraction
-
-Rational = Fraction
 
 _F0 = Q(0)
 _F1 = Q(1)
@@ -63,124 +58,11 @@ class KappaPole(ArithmeticError):
         super().__init__(f"κ-pole: denominator {factor} vanishes at κ={point}")
 
 
-class NonRealDenominator(ArithmeticError):
-    """Raised when normalization would need a denominator that is not a
-    scalar multiple of a real polynomial."""
-
-
 class SpectralDegeneracy(ArithmeticError):
     """Raised by numeric-kappa generation when two eigenvalues collide."""
 
 
-ScalarLike = Union[int, Fraction, "GaussRational"]
-
-
-class GaussRational:
-    """A Gaussian rational re + i*im with exact Fraction parts."""
-
-    __slots__ = ("re", "im")
-
-    def __init__(self, re: int | Fraction = 0, im: int | Fraction = 0):
-        object.__setattr__(self, "re", re if type(re) is _QT else _to_q(re))
-        object.__setattr__(self, "im", im if type(im) is _QT else _to_q(im))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("GaussRational is immutable")
-
-    @staticmethod
-    def _raw(re: Fraction, im: Fraction) -> "GaussRational":
-        g = GaussRational.__new__(GaussRational)
-        object.__setattr__(g, "re", re)
-        object.__setattr__(g, "im", im)
-        return g
-
-    @staticmethod
-    def coerce(x: ScalarLike) -> "GaussRational":
-        if isinstance(x, GaussRational):
-            return x
-        return GaussRational(_to_q(x))
-
-    @property
-    def is_real(self) -> bool:
-        return self.im == 0
-
-    def __bool__(self) -> bool:
-        return bool(self.re) or bool(self.im)
-
-    def conjugate(self) -> "GaussRational":
-        return GaussRational._raw(self.re, -self.im)
-
-    def __add__(self, other: ScalarLike) -> "GaussRational":
-        o = other if type(other) is GaussRational else GaussRational.coerce(other)
-        return GaussRational._raw(self.re + o.re, self.im + o.im)
-
-    __radd__ = __add__
-
-    def __sub__(self, other: ScalarLike) -> "GaussRational":
-        o = other if type(other) is GaussRational else GaussRational.coerce(other)
-        return GaussRational._raw(self.re - o.re, self.im - o.im)
-
-    def __rsub__(self, other: ScalarLike) -> "GaussRational":
-        return GaussRational.coerce(other) - self
-
-    def __neg__(self) -> "GaussRational":
-        return GaussRational._raw(-self.re, -self.im)
-
-    def __mul__(self, other: ScalarLike) -> "GaussRational":
-        o = other if type(other) is GaussRational else GaussRational.coerce(other)
-        if not self.im:
-            if not o.im:
-                return GaussRational._raw(self.re * o.re, _F0)
-            if not self.re:
-                return _GR_ZERO
-            if not o.re:
-                return GaussRational._raw(_F0, self.re * o.im)
-        elif not self.re and not o.im:
-            return GaussRational._raw(_F0, self.im * o.re)
-        elif not self.re and not o.re:
-            return GaussRational._raw(-(self.im * o.im), _F0)
-        return GaussRational._raw(self.re * o.re - self.im * o.im,
-                                  self.re * o.im + self.im * o.re)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other: ScalarLike) -> "GaussRational":
-        o = other if type(other) is GaussRational else GaussRational.coerce(other)
-        if not o:
-            raise KappaZeroDivision("division by zero in κ-field")
-        if not self.im and not o.im:
-            return GaussRational._raw(self.re / o.re, _F0)
-        n = o.re * o.re + o.im * o.im
-        return GaussRational._raw((self.re * o.re + self.im * o.im) / n,
-                                  (self.im * o.re - self.re * o.im) / n)
-
-    def __rtruediv__(self, other: ScalarLike) -> "GaussRational":
-        return GaussRational.coerce(other) / self
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
-            other = GaussRational(other)
-        if not isinstance(other, GaussRational):
-            return NotImplemented
-        return self.re == other.re and self.im == other.im
-
-    def __hash__(self):
-        if self.im == 0:
-            return hash(self.re)
-        return hash((self.re, self.im))
-
-    def __repr__(self):
-        if self.im == 0:
-            return f"{self.re}"
-        if self.re == 0:
-            return f"{self.im}*i"
-        return f"({self.re}{'+' if self.im > 0 else '-'}{abs(self.im)}*i)"
-
-
-GR_ZERO = GaussRational(0)
-GR_ONE = GaussRational(1)
-GR_I = GaussRational(0, 1)
-_GR_ZERO = GR_ZERO
+ScalarLike = Union[int, Fraction]
 
 
 def _content(fractions: Iterable[Fraction]) -> Fraction:
@@ -196,13 +78,13 @@ def _content(fractions: Iterable[Fraction]) -> Fraction:
 
 
 class KappaPolynomial:
-    """Polynomial in κ with GaussRational coefficients, ascending powers,
-    no trailing zeros (the zero polynomial has an empty coefficient tuple)."""
+    """Polynomial in κ with rational coefficients, ascending powers, no
+    trailing zeros (the zero polynomial has an empty coefficient tuple)."""
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable[ScalarLike] = ()):
-        cs = [GaussRational.coerce(c) for c in coeffs]
+        cs = [_to_q(c) for c in coeffs]
         while cs and not cs[-1]:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
@@ -210,10 +92,13 @@ class KappaPolynomial:
     def __setattr__(self, name, value):
         raise AttributeError("KappaPolynomial is immutable")
 
+    def __reduce__(self):
+        return KappaPolynomial, (self.coeffs,)
+
     # -- constructors ------------------------------------------------------
     @staticmethod
     def _raw(coeffs: tuple) -> "KappaPolynomial":
-        """Trusted constructor: coeffs already GaussRational, no trailing zeros."""
+        """Trusted constructor: coeffs already Q, no trailing zeros."""
         p = KappaPolynomial.__new__(KappaPolynomial)
         object.__setattr__(p, "coeffs", coeffs)
         return p
@@ -238,7 +123,7 @@ class KappaPolynomial:
 
     @staticmethod
     def const(x: ScalarLike) -> "KappaPolynomial":
-        return KappaPolynomial([GaussRational.coerce(x)])
+        return KappaPolynomial([x])
 
     @staticmethod
     def linear(c0: ScalarLike, c1: ScalarLike) -> "KappaPolynomial":
@@ -255,11 +140,7 @@ class KappaPolynomial:
         return not self.coeffs
 
     @property
-    def is_real(self) -> bool:
-        return all(c.is_real for c in self.coeffs)
-
-    @property
-    def leading(self) -> GaussRational:
+    def leading(self):
         if not self.coeffs:
             raise ValueError("zero polynomial has no leading coefficient")
         return self.coeffs[-1]
@@ -290,7 +171,7 @@ class KappaPolynomial:
         if len(a) == 1 and len(b) == 1:
             c = a[0] * b[0]
             return KappaPolynomial._raw((c,)) if c else _KP_ZERO
-        out = [GR_ZERO] * (len(a) + len(b) - 1)
+        out = [_F0] * (len(a) + len(b) - 1)
         for i, ca in enumerate(a):
             if not ca:
                 continue
@@ -300,7 +181,7 @@ class KappaPolynomial:
         return KappaPolynomial._trim(out)
 
     def scale(self, s: ScalarLike) -> "KappaPolynomial":
-        s = GaussRational.coerce(s)
+        s = _to_q(s)
         if not s:
             return _KP_ZERO
         return KappaPolynomial._raw(tuple(c * s for c in self.coeffs))
@@ -318,16 +199,16 @@ class KappaPolynomial:
         return out
 
     def divmod(self, other: "KappaPolynomial"):
-        """Polynomial division over the Gaussian-rational field."""
+        """Polynomial division over the rationals."""
         if other.is_zero:
             raise KappaZeroDivision("division by zero in κ-field")
         rem = list(self.coeffs)
         dn = other.coeffs
         dd = len(dn) - 1
-        lead_inv = GR_ONE / dn[-1]
+        lead_inv = _F1 / dn[-1]
         if len(rem) - 1 < dd:
             return _KP_ZERO, self
-        quot = [GR_ZERO] * (len(rem) - dd)
+        quot = [_F0] * (len(rem) - dd)
         for i in range(len(rem) - 1, dd - 1, -1):
             c = rem[i]
             if not c:
@@ -350,7 +231,7 @@ class KappaPolynomial:
     def monic(self) -> "KappaPolynomial":
         if self.is_zero:
             return self
-        return self.scale(GR_ONE / self.leading)
+        return self.scale(_F1 / self.leading)
 
     @staticmethod
     def gcd(a: "KappaPolynomial", b: "KappaPolynomial") -> "KappaPolynomial":
@@ -359,28 +240,16 @@ class KappaPolynomial:
         return a.monic()
 
     def content(self) -> Fraction:
-        """Positive rational content over all real/imaginary coefficient parts."""
-        entries = []
-        for c in self.coeffs:
-            if c.re:
-                entries.append(c.re)
-            if c.im:
-                entries.append(c.im)
-        return _content(entries)
+        """Positive rational content of the coefficients."""
+        return _content(self.coeffs)
 
     # -- evaluation --------------------------------------------------------
-    def __call__(self, x: ScalarLike) -> GaussRational:
-        x = GaussRational.coerce(x)
-        acc = GR_ZERO
+    def __call__(self, x: ScalarLike):
+        x = _to_q(x)
+        acc = _F0
         for c in reversed(self.coeffs):
             acc = acc * x + c
         return acc
-
-    def real_fractions(self) -> tuple[Fraction, ...]:
-        """Coefficients as Fractions; requires a real polynomial."""
-        if not self.is_real:
-            raise NonRealDenominator("polynomial has non-real coefficients")
-        return tuple(Fraction(c.re) for c in self.coeffs)
 
     # -- comparisons -------------------------------------------------------
     def __eq__(self, other) -> bool:
@@ -410,17 +279,17 @@ class KappaPolynomial:
 _KP_ZERO = KappaPolynomial.__new__(KappaPolynomial)
 object.__setattr__(_KP_ZERO, "coeffs", ())
 _KP_ONE = KappaPolynomial.__new__(KappaPolynomial)
-object.__setattr__(_KP_ONE, "coeffs", (GR_ONE,))
+object.__setattr__(_KP_ONE, "coeffs", (_F1,))
 _KP_KAPPA = KappaPolynomial.__new__(KappaPolynomial)
-object.__setattr__(_KP_KAPPA, "coeffs", (GR_ZERO, GR_ONE))
+object.__setattr__(_KP_KAPPA, "coeffs", (_F0, _F1))
 
-KappaLike = Union[int, Fraction, GaussRational, KappaPolynomial, "KappaRational"]
+KappaLike = Union[int, Fraction, KappaPolynomial, "KappaRational"]
 
 
 def _to_poly(x) -> KappaPolynomial:
     if isinstance(x, KappaPolynomial):
         return x
-    return KappaPolynomial.const(GaussRational.coerce(x))
+    return KappaPolynomial.const(x)
 
 
 class KappaRational:
@@ -442,6 +311,9 @@ class KappaRational:
 
     def __setattr__(self, name, value):
         raise AttributeError("KappaRational is immutable")
+
+    def __reduce__(self):
+        return KappaRational, (self.num, self.den)
 
     @staticmethod
     def _raw(num: KappaPolynomial, den: KappaPolynomial) -> "KappaRational":
@@ -473,18 +345,14 @@ class KappaRational:
         return self.num.is_zero
 
     @property
-    def is_real(self) -> bool:
-        return self.num.is_real and self.den.is_real
-
-    @property
     def is_constant(self) -> bool:
         return self.num.degree <= 0 and self.den.degree == 0
 
-    def constant_value(self) -> GaussRational:
+    def constant_value(self):
         if not self.is_constant:
             raise ValueError(f"{self!r} is not constant in κ")
         if self.num.is_zero:
-            return GR_ZERO
+            return _F0
         return self.num.coeffs[0] / self.den.coeffs[0]
 
     def __bool__(self) -> bool:
@@ -550,10 +418,10 @@ class KappaRational:
         return out
 
     # -- evaluation --------------------------------------------------------
-    def __call__(self, kappa0: int | Fraction | GaussRational) -> GaussRational:
+    def __call__(self, kappa0: int | Fraction):
         d = self.den(kappa0)
         if not d:
-            raise KappaPole(self.den, Fraction(kappa0) if not isinstance(kappa0, GaussRational) else kappa0.re)
+            raise KappaPole(self.den, Fraction(kappa0))
         return self.num(kappa0) / d
 
     # -- comparisons -------------------------------------------------------
@@ -575,7 +443,7 @@ class KappaRational:
 def _coerce_kr(x) -> KappaRational | None:
     if isinstance(x, KappaRational):
         return x
-    if isinstance(x, (int, Fraction, GaussRational)):
+    if isinstance(x, (int, Fraction, _QT)):
         return KappaRational.const(x)
     if isinstance(x, KappaPolynomial):
         return KappaRational(x, _KP_ONE)
@@ -593,23 +461,12 @@ def _normalize(num: KappaPolynomial, den: KappaPolynomial):
     if g.degree > 0:
         num = num.exact_div(g)
         den = den.exact_div(g)
-    lam = GR_ONE / den.leading
+    lam = _F1 / den.leading
     num = num.scale(lam)
     den = den.scale(lam)
-    if not den.is_real:
-        raise NonRealDenominator(f"denominator {den} is not a real κ-polynomial")
     if den == _KP_ONE:
         return num, _KP_ONE
-    entries = []
-    for c in num.coeffs:
-        if c.re:
-            entries.append(c.re)
-        if c.im:
-            entries.append(c.im)
-    for c in den.coeffs:
-        if c.re:
-            entries.append(c.re)
-    c = _content(entries)
+    c = _content(num.coeffs + den.coeffs)
     if c != 1:
         inv = 1 / c
         num = num.scale(inv)
@@ -628,7 +485,7 @@ def kr_normalize(num: KappaPolynomial, den: KappaPolynomial) -> KappaRational:
     return KappaRational(num, den)
 
 
-def kr_eval(r: KappaRational, kappa0: int | Fraction) -> GaussRational:
+def kr_eval(r: KappaRational, kappa0: int | Fraction):
     """Exact substitution κ -> kappa0; raises KappaPole at a denominator zero."""
     return r(Fraction(kappa0))
 
@@ -658,4 +515,4 @@ def kr(num: int | Fraction, den: int | Fraction = 1) -> KappaRational:
 
 def lin(c0: int | Fraction, c1: int | Fraction = 1) -> KappaRational:
     """Shorthand for the affine value c0 + c1*κ."""
-    return KappaRational(KappaPolynomial.linear(Fraction(c0), Fraction(c1)))
+    return KappaRational(KappaPolynomial.linear(c0, c1))

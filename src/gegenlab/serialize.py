@@ -15,11 +15,12 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import threading
 from fractions import Fraction
 from pathlib import Path
 from typing import Optional
 
-from .scalars import KappaPolynomial, KappaRational, NonRealDenominator
+from .scalars import KappaPolynomial, KappaRational
 from .symfun import Weight, ZPolynomial, dominance_key, grlex_key
 
 CACHE_VERSION = 1
@@ -30,13 +31,11 @@ CACHE_VERSION = 1
 # ---------------------------------------------------------------------------
 
 def _poly_strings(p: KappaPolynomial) -> list[str]:
-    return [str(f) for f in p.real_fractions()]
+    return [str(f) for f in p.coeffs]
 
 
 def kr_to_arrays(c: KappaRational) -> tuple[list[str], list[str]]:
     """Numerator and denominator coefficient arrays, ascending powers."""
-    if not c.is_real:
-        raise NonRealDenominator("cannot serialize a non-real coefficient")
     return _poly_strings(c.num), _poly_strings(c.den)
 
 
@@ -76,7 +75,7 @@ def kappa_poly_str(p: KappaPolynomial, symbol: str = "k") -> str:
     if p.is_zero:
         return "0"
     parts = []
-    for i, f in enumerate(p.real_fractions()):
+    for i, f in enumerate(p.coeffs):
         if f == 0:
             continue
         mag = abs(f)
@@ -98,7 +97,7 @@ def kappa_poly_latex(p: KappaPolynomial) -> str:
 
 def _leading_sign(c: KappaRational) -> int:
     """Display sign: the sign of the lowest-order nonzero coefficient."""
-    for f in c.num.real_fractions():
+    for f in c.num.coeffs:
         if f:
             return -1 if f < 0 else 1
     return 1
@@ -127,7 +126,7 @@ def kr_latex(c: KappaRational) -> str:
     if den.degree == 0:
         nstr = kappa_poly_latex(num)
         if num.degree == 0:
-            f = num.real_fractions()[0]
+            f = num.coeffs[0]
             if f.denominator != 1:
                 return f"\\frac{{{abs(f.numerator)}}}{{{f.denominator}}}"
             return str(abs(f.numerator))
@@ -209,11 +208,11 @@ def _zpoly_content(p: ZPolynomial) -> Fraction:
     num = 0
     den = 1
     for c in p.terms.values():
-        for f in c.num.real_fractions():
+        for f in c.num.coeffs:
             if f:
                 num = gcd(num, f.numerator)
                 den = lcm(den, f.denominator)
-        for f in c.den.real_fractions():
+        for f in c.den.coeffs:
             if f:
                 den = lcm(den, f.numerator)  # denominators divide the content
     return Fraction(num, den) if num else Fraction(1)
@@ -264,12 +263,19 @@ def _payload_checksum(obj: dict) -> str:
 
 
 def cache_write(directory: str | Path, weight: Weight, p: ZPolynomial) -> Path:
+    """Write the entry to a temporary file beside it, then rename it into
+    place, so a reader sees the old entry or the new one, never a torn one."""
     path = _cache_path(directory, p.rank, weight)
     path.parent.mkdir(parents=True, exist_ok=True)
     obj = zpoly_to_obj(p, weight)
     obj["version"] = CACHE_VERSION
     obj["checksum"] = _payload_checksum(obj)
-    path.write_text(canonical_json(obj))
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
+    try:
+        tmp.write_text(canonical_json(obj))
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
     return path
 
 

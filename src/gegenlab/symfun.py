@@ -21,12 +21,7 @@ import itertools
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional
 
-from .scalars import (
-    KappaPolynomial,
-    KappaRational,
-    NonRealDenominator,
-    kr,
-)
+from .scalars import KappaPolynomial, KappaRational, kr
 
 Weight = tuple[int, ...]
 
@@ -161,6 +156,9 @@ class ZPolynomial:
     def __setattr__(self, name, value):
         raise AttributeError("ZPolynomial is immutable; build a new one")
 
+    def __reduce__(self):
+        return ZPolynomial, (self.rank, self.terms)
+
     # -- constructors ------------------------------------------------------
     @staticmethod
     def _raw(rank: int, terms: dict) -> "ZPolynomial":
@@ -283,10 +281,8 @@ class ZPolynomial:
         out: dict[Weight, KappaRational] = {}
         for w, c in self.terms.items():
             v = c(kappa0)
-            if not v.is_real:
-                raise NonRealDenominator("non-real coefficient in public result")
             if v:
-                out[w] = KappaRational.const(v.re)
+                out[w] = KappaRational.const(v)
         return ZPolynomial(self.rank, out)
 
     def eval(self, point: Iterable[Fraction], kappa0: Fraction) -> Fraction:
@@ -295,16 +291,12 @@ class ZPolynomial:
             raise RankMismatch(f"point length {len(zs)} != rank {self.rank}")
         total = Fraction(0)
         for w, c in self.terms.items():
-            v = c(kappa0)
-            term = v.re
+            term = c(kappa0)
             for z, e in zip(zs, w):
                 if e:
                     term *= z ** e
             total += term
         return Fraction(total)
-
-    def is_real(self) -> bool:
-        return all(c.is_real for c in self.terms.values())
 
     # -- comparisons -------------------------------------------------------
     def __eq__(self, other) -> bool:
@@ -343,6 +335,9 @@ class XPolynomial:
 
     def __setattr__(self, name, value):
         raise AttributeError("XPolynomial is immutable; build a new one")
+
+    def __reduce__(self):
+        return XPolynomial, (self.nvars, self.terms)
 
     @staticmethod
     def _raw(nvars: int, terms: dict) -> "XPolynomial":
@@ -494,6 +489,9 @@ class XRational:
 
     def __setattr__(self, name, value):
         raise AttributeError("XRational is immutable; build a new one")
+
+    def __reduce__(self):
+        return XRational, (self.num, self.den_pairs, self.den_mono)
 
     @staticmethod
     def from_poly(p: XPolynomial) -> "XRational":

@@ -1,5 +1,5 @@
 """Verification suites: every closed-form table is checked by independent
-computation, and每 suite produces a machine-readable report.
+computation, and each suite produces a machine-readable report.
 
 Suites
 ------
@@ -104,7 +104,7 @@ def _weights(rank: int, total: int):
 def suite_appendix(rank: int = 3) -> VerificationReport:
     """Every bundled golden polynomial must be reproduced exactly by the
     eigen route; a mismatch is adjudicated by the eigen equation."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     rep = VerificationReport("appendix")
     N = rank + 1
     for w, golden in load_golden(rank):
@@ -126,7 +126,7 @@ def suite_appendix(rank: int = 3) -> VerificationReport:
             detail=verdict,
             expected=zpoly_text(golden),
             actual=zpoly_text(generated)))
-    rep.elapsed = time.time() - t0
+    rep.elapsed = time.perf_counter() - t0
     return rep
 
 
@@ -160,7 +160,7 @@ def _leading_structure_checks(N: int) -> list[CheckResult]:
 
 
 def suite_eigen(rank: int = 2, max_degree: Optional[int] = None) -> VerificationReport:
-    t0 = time.time()
+    t0 = time.perf_counter()
     rep = VerificationReport("eigen")
     N = rank + 1
     if max_degree is None:
@@ -173,12 +173,12 @@ def suite_eigen(rank: int = 2, max_degree: Optional[int] = None) -> Verification
             f"eigen equation at {w}", "pass" if ok else "fail",
             expected=f"eigenvalue {eps!r}"))
     rep.checks.extend(_leading_structure_checks(N))
-    rep.elapsed = time.time() - t0
+    rep.elapsed = time.perf_counter() - t0
     return rep
 
 
 def suite_recurrence(rank: int = 2, max_degree: Optional[int] = None) -> VerificationReport:
-    t0 = time.time()
+    t0 = time.perf_counter()
     rep = VerificationReport("recurrence")
     if rank not in (2, 3):
         raise ValueError("recurrence suite needs rank 2 or 3")
@@ -191,12 +191,12 @@ def suite_recurrence(rank: int = 2, max_degree: Optional[int] = None) -> Verific
         rep.checks.append(CheckResult(
             f"route agreement at {w}", "pass" if a == b else "fail",
             expected=zpoly_text(b), actual=zpoly_text(a)))
-    rep.elapsed = time.time() - t0
+    rep.elapsed = time.perf_counter() - t0
     return rep
 
 
 def suite_commutators(rank: int = 2, max_degree: int = 4) -> VerificationReport:
-    t0 = time.time()
+    t0 = time.perf_counter()
     rep = VerificationReport("commutators")
     N = rank + 1
     pairs = [(2, 3)] if N == 3 else [(2, 3), (2, 4), (3, 4)] if N == 4 else None
@@ -209,12 +209,12 @@ def suite_commutators(rank: int = 2, max_degree: int = 4) -> VerificationReport:
             "pass" if r.is_zero else "fail",
             detail=f"{r.checked} monomials"
                    + ("" if r.is_zero else f", residual terms on {r.failures}")))
-    rep.elapsed = time.time() - t0
+    rep.elapsed = time.perf_counter() - t0
     return rep
 
 
 def suite_sigma(rank: int = 2, max_components: Optional[int] = None) -> VerificationReport:
-    t0 = time.time()
+    t0 = time.perf_counter()
     rep = VerificationReport("sigma")
     if rank not in (2, 3):
         raise ValueError("sigma suite needs rank 2 or 3")
@@ -232,7 +232,7 @@ def suite_sigma(rank: int = 2, max_components: Optional[int] = None) -> Verifica
             rep.checks.append(CheckResult(
                 f"sigma at m={m}, shift={s}", "pass" if ok else "fail",
                 expected=repr(closed), actual=repr(sigma)))
-    rep.elapsed = time.time() - t0
+    rep.elapsed = time.perf_counter() - t0
     return rep
 
 
@@ -243,7 +243,7 @@ def _reverse(w):
 def suite_duality(rank: int = 2, max_degree: int = 2) -> VerificationReport:
     """Multiplication tables for z_r and z_{N-r} agree under the
     diagram flip (complementary-index coefficients)."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     rep = VerificationReport("duality")
     if rank not in (2, 3):
         raise ValueError("duality suite needs rank 2 or 3")
@@ -256,14 +256,14 @@ def suite_duality(rank: int = 2, max_degree: int = 2) -> VerificationReport:
             rep.checks.append(CheckResult(
                 f"z_{r} table at {m} vs z_{N - r} at {_reverse(m)}",
                 "pass" if ok else "fail"))
-    rep.elapsed = time.time() - t0
+    rep.elapsed = time.perf_counter() - t0
     return rep
 
 
 def suite_kappa1(rank: int = 3) -> VerificationReport:
     """At coupling 1 every recurrence coefficient with a nonzero leading
     index factor is exactly 1 (and exactly 0 otherwise)."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     rep = VerificationReport("kappa1")
     one = Fraction(1)
 
@@ -273,7 +273,7 @@ def suite_kappa1(rank: int = 3) -> VerificationReport:
         want = 0 if should_vanish else 1
         rep.checks.append(CheckResult(
             f"{kind}{args} at coupling 1", "pass" if got == want else "fail",
-            expected=str(want), actual=repr(got)))
+            expected=str(want), actual=str(got)))
 
     for m in range(5):
         check("c", (m,), m == 0)
@@ -286,7 +286,7 @@ def suite_kappa1(rank: int = 3) -> VerificationReport:
                 check("d", (m, l, n), n == 0)
                 check("f", (m, l, n), m == 0 or n == 0)
                 check("g", (m, l, n), l == 0)
-    rep.elapsed = time.time() - t0
+    rep.elapsed = time.perf_counter() - t0
     return rep
 
 

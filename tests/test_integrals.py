@@ -1,22 +1,21 @@
 """Operator engine: coordinate dictionary, integral actions, transcriptions,
 characteristic operator, commutativity."""
+import copy
 import itertools
+import numbers
+import pickle
 import random
 from fractions import Fraction
 
 import pytest
 
 from gegenlab.scalars import (
-    GaussRational,
-    GR_I,
     KappaPolynomial,
     KappaRational,
     kappa,
     kr,
     lin,
 )
-
-I_SCALAR = KappaRational(KappaPolynomial([GR_I]))
 from gegenlab.symfun import (
     XPolynomial,
     XRational,
@@ -41,25 +40,57 @@ def xvar(n, j):
 
 
 def _eval_xpoly(p, xs):
-    total = GaussRational(0)
+    total = Fraction(0)
     for e, c in p.terms.items():
         term = c(Fraction(0))  # coefficients here carry no coupling
         for x, k in zip(xs, e):
             if k:
-                term = term * GaussRational(x ** k)
+                term = term * Fraction(x ** k)
         total = total + term
     return total
 
 
 def _eval_xrational(f, xs):
     num = _eval_xpoly(f.num, xs)
-    den = GaussRational(1)
+    den = Fraction(1)
     for (a, b), e in f.den_pairs.items():
-        den = den * GaussRational((xs[a - 1] - xs[b - 1]) ** e)
+        den = den * Fraction((xs[a - 1] - xs[b - 1]) ** e)
     for j, e in enumerate(f.den_mono):
         if e:
-            den = den * GaussRational(xs[j] ** e)
+            den = den * Fraction(xs[j] ** e)
     return num / den
+
+
+def _values():
+    z = ZPolynomial(2, {(1, 0): lin(1, 3), (0, 0): kr(1, 2) / lin(2, 1)})
+    x = XPolynomial(3, {(1, 0, 0): lin(1, 3), (0, 2, 1): kr(-4)})
+    return [
+        KappaPolynomial([Fraction(1, 2), 0, 3]),
+        lin(1, 3),
+        kr(2) / (lin(1, 1) * lin(-1, 2)),
+        z,
+        x,
+        apply_gauge_potential(XRational(x, {(1, 3): 2}, (0, 1, 0)), 2),
+        transcribed_operator(3, 3),
+    ]
+
+
+class TestPickleAndCopy:
+    @pytest.mark.parametrize("value", _values(), ids=lambda v: type(v).__name__)
+    def test_round_trips(self, value):
+        def key(v):  # ZOperator has no value equality of its own
+            return (v.rank, v.terms) if hasattr(v, "apply") else v
+
+        for clone in (pickle.loads(pickle.dumps(value)),
+                      copy.copy(value), copy.deepcopy(value)):
+            assert type(clone) is type(value)
+            assert key(clone) == key(value)
+
+    def test_unpickled_scalars_keep_computing(self):
+        a = pickle.loads(pickle.dumps(kr(2) / lin(1, 1)))
+        assert a + kr(1) == lin(3, 1) / lin(1, 1)
+        z = pickle.loads(pickle.dumps(ZPolynomial.variable(2, 1)))
+        assert apply_integral(2, z, 3) == z.scale(kr(4, 3) * lin(1, 3))
 
 
 class TestMomentum:
@@ -86,7 +117,7 @@ class TestGaugePotential:
         f = XRational(XPolynomial.one(2))
         g = apply_gauge_potential(f, 1)
         assert g.den_pairs == {(1, 2): 1}
-        assert g.num == (xvar(2, 1) + xvar(2, 2)).scale(I_SCALAR)
+        assert g.num == xvar(2, 1) + xvar(2, 2)
 
     def test_pair_antisymmetry(self):
         a = pair_potential(3, 1, 2)
@@ -98,7 +129,7 @@ class TestGaugePotential:
         f = XRational((x1 - x2) * (x1 - x2))
         g = apply_gauge_potential(f, 1).reduce()
         assert g.is_polynomial
-        assert g.num == ((x1 + x2) * (x1 - x2)).scale(I_SCALAR)
+        assert g.num == (x1 + x2) * (x1 - x2)
 
 
 class TestCoordinateDictionary:
@@ -135,7 +166,7 @@ class TestCoordinateDictionary:
         row = apply_gauge_potential(XRational(XPolynomial.one(3)), 2)
         direct = sum(
             (_eval_xrational(pair_potential(3, 2, k), xs) for k in (1, 3)),
-            GaussRational(0))
+            Fraction(0))
         assert _eval_xrational(row, xs) == direct
 
 
@@ -155,7 +186,9 @@ class TestApplyIntegral:
 
     def test_output_coefficients_real(self):
         out = apply_integral(3, ZPolynomial.monomial(2, (2, 1)), 3)
-        assert out.is_real()
+        assert out.terms
+        for c in out.terms.values():
+            assert isinstance(c(Fraction(1, 3)), numbers.Rational)
 
     def test_degree_filtration(self):
         for w in [(2, 1), (0, 2), (3, 0)]:
