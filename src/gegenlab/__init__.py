@@ -48,9 +48,7 @@ from .integrals import (
 from .gegenbauer import (
     DecompositionError,
     LVector,
-    RecurrenceTable,
     ShiftNotTabulated,
-    SigmaTable,
     char_eigenvalue,
     epsilon2,
     expand_product,

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 import time
 from fractions import Fraction
@@ -158,7 +159,6 @@ def _table_rows(args):
 
     rows = []
     if args.kind == "recurrence":
-        table = gg.RecurrenceTable(args.rank)
         if args.rank == 2:
             m, n = weight
             pairs = [("a", (m, n)), ("a", (n, m)), ("c", (m,)), ("c", (n,))]
@@ -171,7 +171,7 @@ def _table_rows(args):
         for kind, idx in pairs:
             label = f"{kind}({','.join(map(str, idx))})"
             if not any(label == k for k, _ in rows):
-                rows.append((label, show(table.coefficient(kind, idx))))
+                rows.append((label, show(gg.recurrence_coefficient(kind, idx))))
     elif args.kind == "sigma":
         for s in gg.tabulated_shifts(N):
             rows.append((f"sigma[{','.join(map(str, s))}] at {weight}",
@@ -251,10 +251,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _join_negative_values(argv) -> list[str]:
+    """Attach a negative --kappa/--point value to its option, as in
+    '--kappa=-1/2'; argparse would take a separate '-1/2' for an option."""
+    out = list(argv)
+    for i in range(len(out) - 2, -1, -1):
+        if out[i] in ("--kappa", "--point") and re.match(r"-[0-9]", out[i + 1]):
+            out[i:i + 2] = [f"{out[i]}={out[i + 1]}"]
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_join_negative_values(argv))
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:

@@ -24,6 +24,7 @@ from .scalars import (
     KappaRational,
     SpectralDegeneracy,
     kr,
+    lin,
 )
 from .symfun import (
     Weight,
@@ -82,8 +83,7 @@ class LVector:
 
     def component(self, j: int) -> KappaRational:
         """1-based affine component as a scalar."""
-        c, s = self.entries[j - 1]
-        return KappaRational(KappaPolynomial.linear(c, s))
+        return lin(*self.entries[j - 1])
 
     def polynomials(self) -> tuple[KappaPolynomial, ...]:
         return tuple(KappaPolynomial.linear(c, s) for c, s in self.entries)
@@ -261,11 +261,6 @@ def _solve_eigen(m: Weight, N: int, kappa: Optional[Fraction]) -> ZPolynomial:
 # closed-form recurrence coefficients
 # ---------------------------------------------------------------------------
 
-def _aff(c: int, slope: int = 1) -> KappaRational:
-    """The affine factor c + slope*κ."""
-    return KappaRational(KappaPolynomial.linear(c, slope))
-
-
 def recurrence_coefficient(kind: str, args) -> KappaRational:
     """Closed-form coefficient of the multiplication rules.
 
@@ -279,44 +274,44 @@ def recurrence_coefficient(kind: str, args) -> KappaRational:
         (m,) = args
         if m == 0:
             return KappaRational.zero()
-        num = kr(m) * _aff(m - 1, 2)
-        den = _aff(m) * _aff(m - 1)
+        num = kr(m) * lin(m - 1, 2)
+        den = lin(m) * lin(m - 1)
         return num / den
     if kind == "a":
         p, q = args
         if q == 0:
             return KappaRational.zero()
-        num = kr(q) * _aff(p + q) * _aff(q - 1, 2) * _aff(p + q - 1, 3)
-        den = _aff(q) * _aff(q - 1) * _aff(p + q, 2) * _aff(p + q - 1, 2)
+        num = kr(q) * lin(p + q) * lin(q - 1, 2) * lin(p + q - 1, 3)
+        den = lin(q) * lin(q - 1) * lin(p + q, 2) * lin(p + q - 1, 2)
         return num / den
     if kind == "d":
         m, l, n = args
         if n == 0:
             return KappaRational.zero()
-        num = (kr(n) * _aff(l + n) * _aff(n - 1, 2) * _aff(m + l + n, 2)
-               * _aff(l + n - 1, 3) * _aff(m + l + n - 1, 4))
-        den = (_aff(n) * _aff(n - 1) * _aff(l + n, 2) * _aff(l + n - 1, 2)
-               * _aff(m + l + n, 3) * _aff(m + l + n - 1, 3))
+        num = (kr(n) * lin(l + n) * lin(n - 1, 2) * lin(m + l + n, 2)
+               * lin(l + n - 1, 3) * lin(m + l + n - 1, 4))
+        den = (lin(n) * lin(n - 1) * lin(l + n, 2) * lin(l + n - 1, 2)
+               * lin(m + l + n, 3) * lin(m + l + n - 1, 3))
         return num / den
     if kind == "f":
         m, l, n = args
         if m == 0 or n == 0:
             return KappaRational.zero()
-        num = (kr(m * n) * _aff(m - 1, 2) * _aff(n - 1, 2)
-               * _aff(m + l + n, 2) * _aff(m + l + n - 1, 4))
-        den = (_aff(m) * _aff(n) * _aff(m - 1) * _aff(n - 1)
-               * _aff(m + l + n, 3) * _aff(m + l + n - 1, 3))
+        num = (kr(m * n) * lin(m - 1, 2) * lin(n - 1, 2)
+               * lin(m + l + n, 2) * lin(m + l + n - 1, 4))
+        den = (lin(m) * lin(n) * lin(m - 1) * lin(n - 1)
+               * lin(m + l + n, 3) * lin(m + l + n - 1, 3))
         return num / den
     if kind == "g":
         m, l, n = args
         if l == 0:
             return KappaRational.zero()
-        num = (kr(l) * _aff(m + l) * _aff(l + n) * _aff(l - 1, 2)
-               * _aff(m + l + n, 2) * _aff(m + l - 1, 3) * _aff(l + n - 1, 3)
-               * _aff(m + l + n - 1, 4))
-        den = (_aff(l) * _aff(l - 1) * _aff(m + l, 2) * _aff(m + l - 1, 2)
-               * _aff(l + n, 2) * _aff(l + n - 1, 2)
-               * _aff(m + l + n, 3) * _aff(m + l + n - 1, 3))
+        num = (kr(l) * lin(m + l) * lin(l + n) * lin(l - 1, 2)
+               * lin(m + l + n, 2) * lin(m + l - 1, 3) * lin(l + n - 1, 3)
+               * lin(m + l + n - 1, 4))
+        den = (lin(l) * lin(l - 1) * lin(m + l, 2) * lin(m + l - 1, 2)
+               * lin(l + n, 2) * lin(l + n - 1, 2)
+               * lin(m + l + n, 3) * lin(m + l + n - 1, 3))
         return num / den
     raise ValueError(f"unknown coefficient kind {kind!r}")
 
@@ -366,21 +361,6 @@ def recurrence_rows(N: int):
 
         return {1: row1, 2: row2, 3: row3}
     raise ValueError(f"recurrence rows available for N in {{3, 4}}, got {N}")
-
-
-@dataclass(frozen=True)
-class RecurrenceTable:
-    """Closed-form recurrence coefficients for one rank."""
-    rank: int
-
-    @property
-    def kinds(self) -> tuple[str, ...]:
-        return ("a", "c") if self.rank == 2 else ("a", "c", "d", "f", "g")
-
-    def coefficient(self, kind: str, args) -> KappaRational:
-        if kind not in self.kinds:
-            raise ValueError(f"kind {kind!r} not available at rank {self.rank}")
-        return recurrence_coefficient(kind, args)
 
 
 # ---------------------------------------------------------------------------
@@ -531,46 +511,46 @@ def _prod(*factors: KappaRational) -> KappaRational:
 
 def _pair_norm(a: int, b: int) -> KappaRational:
     """8 (a+b+2κ)(a+κ): single-shift normalization for three particles."""
-    return kr(8) * _aff(a + b, 2) * _aff(a)
+    return kr(8) * lin(a + b, 2) * lin(a)
 
 
 def _pair_norm_mixed(a: int, b: int) -> KappaRational:
     """8 (a+κ)(b+κ): mixed single-shift normalization for three particles."""
-    return kr(8) * _aff(a) * _aff(b)
+    return kr(8) * lin(a) * lin(b)
 
 
 def _chain_norm(m: int, l: int, n: int) -> KappaRational:
     """16 (m+κ)(m+l+2κ)(m+l+n+3κ): single-shift normalization, four particles."""
-    return kr(16) * _aff(m) * _aff(m + l, 2) * _aff(m + l + n, 3)
+    return kr(16) * lin(m) * lin(m + l, 2) * lin(m + l + n, 3)
 
 
 def _chain_norm_mixed(m: int, l: int, n: int) -> KappaRational:
     """16 (m+κ)(l+κ)(l+n+2κ): mixed single-shift normalization, four particles."""
-    return kr(16) * _aff(m) * _aff(l) * _aff(l + n, 2)
+    return kr(16) * lin(m) * lin(l) * lin(l + n, 2)
 
 
 def _double_norm_adjacent(m: int, l: int, n: int) -> KappaRational:
     """256 (l+κ)(m+1+κ)(m-1+κ)(m+l+2κ)(l+n+2κ)(m+l+n+3κ)."""
-    return _prod(kr(256), _aff(l), _aff(m + 1), _aff(m - 1),
-                 _aff(m + l, 2), _aff(l + n, 2), _aff(m + l + n, 3))
+    return _prod(kr(256), lin(l), lin(m + 1), lin(m - 1),
+                 lin(m + l, 2), lin(l + n, 2), lin(m + l + n, 3))
 
 
 def _double_norm_split(m: int, l: int, n: int) -> KappaRational:
     """256 (m+κ)(l+κ)(n+κ)(m+l+1+2κ)(m+l-1+2κ)(m+l+n+3κ)."""
-    return _prod(kr(256), _aff(m), _aff(l), _aff(n),
-                 _aff(m + l + 1, 2), _aff(m + l - 1, 2), _aff(m + l + n, 3))
+    return _prod(kr(256), lin(m), lin(l), lin(n),
+                 lin(m + l + 1, 2), lin(m + l - 1, 2), lin(m + l + n, 3))
 
 
 def _double_norm_outer(m: int, l: int, n: int) -> KappaRational:
     """256 (m+κ)(n+κ)(m+l+2κ)(l+n+2κ)(m+l+n+1+3κ)(m+l+n-1+3κ)."""
-    return _prod(kr(256), _aff(m), _aff(n), _aff(m + l, 2), _aff(l + n, 2),
-                 _aff(m + l + n + 1, 3), _aff(m + l + n - 1, 3))
+    return _prod(kr(256), lin(m), lin(n), lin(m + l, 2), lin(l + n, 2),
+                 lin(m + l + n + 1, 3), lin(m + l + n - 1, 3))
 
 
 def _double_norm_inner(m: int, l: int, n: int) -> KappaRational:
     """256 (m+κ)(n+κ)(l+1+κ)(l-1+κ)(m+l+2κ)(l+n+2κ)."""
-    return _prod(kr(256), _aff(m), _aff(n), _aff(l + 1), _aff(l - 1),
-                 _aff(m + l, 2), _aff(l + n, 2))
+    return _prod(kr(256), lin(m), lin(n), lin(l + 1), lin(l - 1),
+                 lin(m + l, 2), lin(l + n, 2))
 
 
 def _rc(kind: str, *args: int) -> KappaRational:
@@ -629,16 +609,3 @@ def sigma_closed_form(m: Weight, s: Weight, N: int) -> KappaRational:
     if fn is None:
         raise ShiftNotTabulated(f"shift {s} has no tabulated step operator")
     return fn(*m)
-
-
-@dataclass(frozen=True)
-class SigmaTable:
-    """Closed-form step factors for one rank."""
-    rank: int
-
-    @property
-    def shifts(self) -> tuple[Weight, ...]:
-        return tabulated_shifts(self.rank + 1)
-
-    def closed_form(self, m: Weight, s: Weight) -> KappaRational:
-        return sigma_closed_form(m, s, self.rank + 1)

@@ -109,7 +109,7 @@ def apply_gauge_potential(f: XRational, j: int) -> XRational:
     pairs = dict(f.den_pairs)
     for key, e in row.den_pairs.items():
         pairs[key] = pairs.get(key, 0) + e
-    return XRational(f.num * row.num, pairs, f.den_mono)
+    return XRational(f.num * row.num, pairs)
 
 
 def pair_curvature(nvars: int, a: int, b: int) -> XRational:
@@ -124,7 +124,7 @@ def pair_curvature(nvars: int, a: int, b: int) -> XRational:
 
 
 # ---------------------------------------------------------------------------
-# term table
+# term shapes
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -154,20 +154,14 @@ class TermShape:
         return sign * 2 ** self.mom
 
 
-_TERM_TABLE: dict[int, tuple[TermShape, ...]] = {
-    2: (TermShape(0, 0, 2), TermShape(0, 1, 1)),
-    3: (TermShape(0, 0, 3), TermShape(0, 1, 2),
-        TermShape(1, 0, 1), TermShape(0, 2, 1)),
-    4: (TermShape(0, 0, 4), TermShape(0, 1, 3),
-        TermShape(1, 0, 2), TermShape(0, 2, 2),
-        TermShape(1, 1, 1), TermShape(0, 3, 1)),
-}
-
-
-def integral_term_table(order: int) -> tuple[TermShape, ...]:
-    if order not in _TERM_TABLE:
-        raise ValueError(f"integral order {order} not supported (need 2..4)")
-    return _TERM_TABLE[order]
+def term_shapes(order: int) -> tuple[TermShape, ...]:
+    """Every shape with 2*curv + gauge + mom = order and mom >= 1, most
+    derivative factors first; the purely multiplicative shapes are left to
+    normal ordering.  The curvature loop of the engine places one pair, so
+    the rule holds for orders up to 4."""
+    return tuple(TermShape(c, order - 2 * c - m, m)
+                 for m in range(order, 0, -1)
+                 for c in range((order - m) // 2, -1, -1))
 
 
 # ---------------------------------------------------------------------------
@@ -188,7 +182,7 @@ def _engine_monomial(order: int, w: Weight, N: int) -> ZPolynomial:
         f = _lift_monomial(N, w)
         indices = range(1, N + 1)
         parts: list[XRational] = []
-        for shape in integral_term_table(order):
+        for shape in term_shapes(order):
             kpow = shape.kappa_power
             pre = KappaRational(
                 KappaPolynomial([0] * kpow + [shape.prefactor]))

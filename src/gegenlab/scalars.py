@@ -57,6 +57,9 @@ class KappaPole(ArithmeticError):
         self.point = point
         super().__init__(f"κ-pole: denominator {factor} vanishes at κ={point}")
 
+    def __reduce__(self):
+        return KappaPole, (self.factor, self.point)
+
 
 class SpectralDegeneracy(ArithmeticError):
     """Raised by numeric-kappa generation when two eigenvalues collide."""

@@ -10,9 +10,9 @@ Two polynomial rings and the bridge between them:
   and ``project`` inverts it by leading-term elimination, fixing e_N = 1.
 
 ``XRational`` carries the intermediate fractions produced by the gauge
-potential, whose denominators are products of pairwise differences
-(x_j - x_k) and single variables; ``divide_exact`` recovers the polynomial
-quotient and treats a nonzero remainder as an engine bug.
+potential and the curvature, whose denominators are products of pairwise
+differences (x_j - x_k); ``divide_exact`` recovers the polynomial quotient
+and treats a nonzero remainder as an engine bug.
 """
 from __future__ import annotations
 
@@ -415,12 +415,6 @@ class XPolynomial:
                 out[e] = c
         return XPolynomial._raw(self.nvars, out)
 
-    def homogeneous_components(self) -> dict[int, "XPolynomial"]:
-        split: dict[int, dict] = {}
-        for e, c in self.terms.items():
-            split.setdefault(sum(e), {})[e] = c
-        return {d: XPolynomial(self.nvars, t) for d, t in split.items()}
-
     def swap_violation(self) -> Optional[tuple[int, int]]:
         """First adjacent transposition (j, j+1), 1-based, under which the
         polynomial is not invariant; None if fully symmetric."""
@@ -458,19 +452,14 @@ def _binomial_power(nvars: int, a: int, b: int, k: int) -> XPolynomial:
     return out
 
 
-def _monomial_poly(nvars: int, expo: tuple) -> XPolynomial:
-    return XPolynomial.monomial(nvars, expo)
-
-
 class XRational:
     """XPolynomial numerator over a denominator of pairwise differences
-    (x_j - x_k)^e and a single-variable monomial; reduction is lazy."""
+    (x_j - x_k)^e, a < b; divide_exact recovers the quotient."""
 
-    __slots__ = ("num", "den_pairs", "den_mono")
+    __slots__ = ("num", "den_pairs")
 
     def __init__(self, num: XPolynomial,
-                 den_pairs: Optional[Mapping[tuple[int, int], int]] = None,
-                 den_mono: Optional[tuple[int, ...]] = None):
+                 den_pairs: Optional[Mapping[tuple[int, int], int]] = None):
         pairs: dict[tuple[int, int], int] = {}
         if den_pairs:
             for (a, b), e in den_pairs.items():
@@ -480,22 +469,14 @@ class XRational:
                     if not 1 <= a < b <= num.nvars:
                         raise ValueError(f"bad pair ({a},{b})")
                     pairs[(a, b)] = e
-        mono = tuple(den_mono) if den_mono else (0,) * num.nvars
-        if len(mono) != num.nvars or any(e < 0 for e in mono):
-            raise ValueError("bad monomial denominator")
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den_pairs", pairs)
-        object.__setattr__(self, "den_mono", mono)
 
     def __setattr__(self, name, value):
         raise AttributeError("XRational is immutable; build a new one")
 
     def __reduce__(self):
-        return XRational, (self.num, self.den_pairs, self.den_mono)
-
-    @staticmethod
-    def from_poly(p: XPolynomial) -> "XRational":
-        return XRational(p)
+        return XRational, (self.num, self.den_pairs)
 
     @property
     def nvars(self) -> int:
@@ -505,114 +486,44 @@ class XRational:
     def is_zero(self) -> bool:
         return self.num.is_zero
 
-    @property
-    def is_polynomial(self) -> bool:
-        return not self.den_pairs and not any(self.den_mono)
-
-    def _raised_num(self, pairs: Mapping[tuple[int, int], int],
-                    mono: tuple[int, ...]) -> XPolynomial:
+    def _raised_num(self, pairs: Mapping[tuple[int, int], int]) -> XPolynomial:
         """Numerator re-expressed over the (larger) target denominator."""
         out = self.num
         for key, e in pairs.items():
             extra = e - self.den_pairs.get(key, 0)
             if extra:
                 out = out * _binomial_power(self.nvars, key[0], key[1], extra)
-        shift = tuple(m - s for m, s in zip(mono, self.den_mono))
-        if any(shift):
-            out = out * _monomial_poly(self.nvars, shift)
         return out
-
-    def __add__(self, other: "XRational") -> "XRational":
-        pairs = dict(self.den_pairs)
-        for key, e in other.den_pairs.items():
-            pairs[key] = max(pairs.get(key, 0), e)
-        mono = tuple(max(a, b) for a, b in zip(self.den_mono, other.den_mono))
-        num = self._raised_num(pairs, mono) + other._raised_num(pairs, mono)
-        return XRational(num, pairs, mono)
-
-    def __neg__(self) -> "XRational":
-        return XRational(-self.num, self.den_pairs, self.den_mono)
-
-    def __sub__(self, other: "XRational") -> "XRational":
-        return self + (-other)
 
     def __mul__(self, other: "XRational") -> "XRational":
         pairs = dict(self.den_pairs)
         for key, e in other.den_pairs.items():
             pairs[key] = pairs.get(key, 0) + e
-        mono = tuple(a + b for a, b in zip(self.den_mono, other.den_mono))
-        return XRational(self.num * other.num, pairs, mono)
-
-    def mul_poly(self, p: XPolynomial) -> "XRational":
-        return XRational(self.num * p, self.den_pairs, self.den_mono)
+        return XRational(self.num * other.num, pairs)
 
     def scale(self, s) -> "XRational":
-        return XRational(self.num.scale(s), self.den_pairs, self.den_mono)
-
-    def reduce(self) -> "XRational":
-        """Cancel denominator factors that divide the numerator exactly."""
-        num = self.num
-        pairs = dict(self.den_pairs)
-        for key in list(pairs):
-            a, b = key
-            while pairs[key] > 0:
-                try:
-                    num = _div_binomial(num, a, b)
-                except NonPolynomialOutput:
-                    break
-                pairs[key] -= 1
-            if pairs[key] == 0:
-                del pairs[key]
-        mono = list(self.den_mono)
-        for j in range(self.nvars):
-            if mono[j]:
-                low = min((e[j] for e in num.terms), default=0)
-                cancel = min(mono[j], low)
-                if cancel:
-                    num = _shift_exponents(num, j, -cancel)
-                    mono[j] -= cancel
-        return XRational(num, pairs, tuple(mono))
+        return XRational(self.num.scale(s), self.den_pairs)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, XRational):
             return NotImplemented
-        a = self.reduce()
-        b = other.reduce()
-        return (a.num == b.num and a.den_pairs == b.den_pairs
-                and a.den_mono == b.den_mono)
+        return self.num == other.num and self.den_pairs == other.den_pairs
 
     def __repr__(self):
-        return f"XRational({self.num!r}, pairs={self.den_pairs}, mono={self.den_mono})"
+        return f"XRational({self.num!r}, pairs={self.den_pairs})"
 
 
 def xr_sum(items: Iterable[XRational], nvars: int) -> XRational:
     """Sum over one common denominator; cheaper than chained adds."""
     items = list(items)
-    if not items:
-        return XRational(XPolynomial.zero(nvars))
     pairs: dict[tuple[int, int], int] = {}
-    mono = [0] * nvars
     for it in items:
         for key, e in it.den_pairs.items():
             pairs[key] = max(pairs.get(key, 0), e)
-        for j, e in enumerate(it.den_mono):
-            mono[j] = max(mono[j], e)
-    mono = tuple(mono)
     total = XPolynomial.zero(nvars)
     for it in items:
-        total = total + it._raised_num(pairs, mono)
-    return XRational(total, pairs, mono)
-
-
-def _shift_exponents(p: XPolynomial, j: int, delta: int) -> XPolynomial:
-    out = {}
-    for e, c in p.terms.items():
-        ne = list(e)
-        ne[j] += delta
-        if ne[j] < 0:
-            raise NonPolynomialOutput("non-polynomial operator output")
-        out[tuple(ne)] = c
-    return XPolynomial(p.nvars, out)
+        total = total + it._raised_num(pairs)
+    return XRational(total, pairs)
 
 
 def _div_binomial(p: XPolynomial, a: int, b: int) -> XPolynomial:
@@ -674,9 +585,6 @@ def divide_exact(f: XRational) -> XPolynomial:
     for (a, b), e in sorted(f.den_pairs.items()):
         for _ in range(e):
             num = _div_binomial(num, a, b)
-    for j, e in enumerate(f.den_mono):
-        if e:
-            num = _shift_exponents(num, j, -e)
     return num
 
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-from .scalars import KappaRational, kr
+from .scalars import KappaRational, kr, lin
 from .symfun import ZPolynomial, weighted_degree
 from . import integrals as _integrals
 from . import gegenbauer as _gg
@@ -138,7 +138,7 @@ def _leading_structure_checks(N: int) -> list[CheckResult]:
     for j in range(1, N):
         zj = ZPolynomial.variable(rank, j)
         expected = zj.scale(
-            kr(Fraction(2 * j * (N - j), N)) * _gg._aff(1, N))
+            kr(Fraction(2 * j * (N - j), N)) * lin(1, N))
         actual = _integrals.apply_integral(2, zj, N)
         checks.append(CheckResult(
             f"N={N} first-order coefficient of z_{j}",

@@ -38,6 +38,12 @@ class TestGen:
         assert rc == 0
         assert out.strip() == "z1^2 - 4/3 z2"
 
+    def test_negative_coupling_as_separate_argument(self, capsys):
+        args = ["gen", "--rank", "2", "--weight", "2,0"]
+        joined = run_cli(args + ["--kappa=-1/2"], capsys)
+        assert joined[0] == 0
+        assert run_cli(args + ["--kappa", "-1/2"], capsys) == joined
+
     def test_json_round_trip(self, capsys):
         rc, out, _ = run_cli(["gen", "--rank", "3", "--weight", "1,1,0",
                               "--format", "json"], capsys)
@@ -180,6 +186,12 @@ class TestEval:
         rc, out, _ = run_cli(["eval", "--rank", "3", "--weight", "1,0,0",
                               "--kappa", "2/3", "--point", "5,1,7"], capsys)
         assert rc == 0 and out.strip() == "5"
+
+    def test_negative_point_as_separate_argument(self, capsys):
+        args = ["eval", "--rank", "2", "--weight", "1,0", "--kappa", "1/2"]
+        joined = run_cli(args + ["--point=-1,2"], capsys)
+        assert joined[0] == 0 and joined[1].strip() == "-1"
+        assert run_cli(args + ["--point", "-1,2"], capsys) == joined
 
     def test_outer_product_at_unit_coupling(self, capsys):
         rc, out, _ = run_cli(["eval", "--rank", "3", "--weight", "1,0,1",

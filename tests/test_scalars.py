@@ -1,4 +1,6 @@
 """Exact scalar kernel: canonical forms, field arithmetic, evaluation."""
+import copy
+import pickle
 import random
 from fractions import Fraction
 
@@ -69,6 +71,15 @@ class TestEval:
         with pytest.raises(KappaPole) as err:
             kr_eval(r, -1)
         assert err.value.factor == P(1, 1)
+
+    def test_pole_survives_pickle_and_copy(self):
+        with pytest.raises(KappaPole) as err:
+            kr_eval(kr(2) / lin(1, 1), -1)
+        pole = err.value
+        for clone in (pickle.loads(pickle.dumps(pole)), copy.deepcopy(pole)):
+            assert type(clone) is KappaPole
+            assert clone.factor == pole.factor and clone.point == pole.point
+            assert str(clone) == str(pole)
 
     def test_recurrence_value(self):
         # m(m-1+2k)/((m+k)(m-1+k)) at m=1, k=1/2 gives 4/3

@@ -20,6 +20,7 @@ from gegenlab.symfun import (
     partition_weight,
     project,
     weight_partition,
+    xr_sum,
     weighted_degree,
 )
 
@@ -122,23 +123,13 @@ class TestDivideExact:
         q = divide_exact(f)
         assert q * (x1 - x2) * (x1 - x3) == num
 
-    def test_monomial_denominator(self):
-        f = XRational(XPolynomial.monomial(2, (2, 1)), den_mono=(1, 0))
-        assert divide_exact(f) == XPolynomial.monomial(2, (1, 1))
-
 
 class TestXRational:
-    def test_reduce_cancels(self):
-        x1, x2 = xvar(2, 1), xvar(2, 2)
-        f = XRational((x1 - x2) * (x1 + x2), {(1, 2): 1})
-        r = f.reduce()
-        assert r.is_polynomial and r.num == x1 + x2
-
     def test_add_over_common_denominator(self):
         x1, x2 = xvar(2, 1), xvar(2, 2)
         a = XRational(XPolynomial.one(2), {(1, 2): 1})
         b = XRational(x1, {(1, 2): 2})
-        s = a + b
+        s = xr_sum([a, b], 2)
         assert s.den_pairs == {(1, 2): 2}
         assert s.num == (x1 - x2) + x1
 
