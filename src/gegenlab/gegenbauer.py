@@ -13,8 +13,8 @@ operators together with their proportionality factors.
 """
 from __future__ import annotations
 
+import functools
 import itertools
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
@@ -189,17 +189,14 @@ def l_shift(m: Weight, s: Weight, N: int) -> LVector:
 # generation: eigen route
 # ---------------------------------------------------------------------------
 
-_eigen_cache: dict[tuple[int, Weight], ZPolynomial] = {}
-_gen_lock = threading.RLock()
-
-
 def gen_eigen(m: Weight, N: Optional[int] = None,
               kappa: Optional[Fraction] = None) -> ZPolynomial:
     """Monic eigenpolynomial of the order-2 integral with leading weight m.
 
-    Symbolic in κ by default; with a numeric κ the triangular solve runs over
-    plain rationals and raises SpectralDegeneracy when two eigenvalues of the
-    dominance cone collide at that coupling.
+    Symbolic in κ by default, and memoized.  With a numeric κ the triangular
+    solve still runs symbolically in κ and the coupling is substituted at
+    the end; that result is not memoized.  SpectralDegeneracy is raised when
+    two eigenvalues of the dominance cone collide at that coupling.
     """
     m = tuple(m)
     _require_dominant(m)
@@ -208,14 +205,13 @@ def gen_eigen(m: Weight, N: Optional[int] = None,
     if len(m) != N - 1:
         raise ValueError(f"weight {m} has rank {len(m)}, expected {N - 1}")
     if kappa is None:
-        with _gen_lock:
-            hit = _eigen_cache.get((N, m))
-            if hit is not None:
-                return hit
-            result = _solve_eigen(m, N, None)
-            _eigen_cache[(N, m)] = result
-            return result
+        return _symbolic_eigen(m, N)
     return _solve_eigen(m, N, Fraction(kappa))
+
+
+@functools.lru_cache(maxsize=None)
+def _symbolic_eigen(m: Weight, N: int) -> ZPolynomial:
+    return _solve_eigen(m, N, None)
 
 
 def _solve_eigen(m: Weight, N: int, kappa: Optional[Fraction]) -> ZPolynomial:
@@ -367,9 +363,6 @@ def recurrence_rows(N: int):
 # generation: recurrence route
 # ---------------------------------------------------------------------------
 
-_recurrence_cache: dict[tuple[int, Weight], ZPolynomial] = {}
-
-
 def gen_recurrence(m: Weight, N: Optional[int] = None) -> ZPolynomial:
     """Build P_m from P_0 = 1 by the closed-form multiplication rules,
     solving each rule for its top term; N in {3, 4}."""
@@ -381,19 +374,14 @@ def gen_recurrence(m: Weight, N: Optional[int] = None) -> ZPolynomial:
         raise ValueError(f"recurrence generation supports N in {{3, 4}}, got {N}")
     if len(m) != N - 1:
         raise ValueError(f"weight {m} has rank {len(m)}, expected {N - 1}")
-    with _gen_lock:
-        return _gen_recurrence_inner(m, N)
+    return _gen_recurrence_inner(m, N)
 
 
+@functools.lru_cache(maxsize=None)
 def _gen_recurrence_inner(m: Weight, N: int) -> ZPolynomial:
-    hit = _recurrence_cache.get((N, m))
-    if hit is not None:
-        return hit
     rank = N - 1
     if all(e == 0 for e in m):
-        result = ZPolynomial.one(rank)
-        _recurrence_cache[(N, m)] = result
-        return result
+        return ZPolynomial.one(rank)
     # choose the rule whose top shift reaches m
     if m[0] >= 1:
         r = 1
@@ -417,7 +405,6 @@ def _gen_recurrence_inner(m: Weight, N: int) -> ZPolynomial:
         if any(e < 0 for e in target):
             continue  # labels with negative entries are the zero polynomial
         acc = acc - _gen_recurrence_inner(target, N).scale(coeff)
-    _recurrence_cache[(N, m)] = acc
     return acc
 
 

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -100,16 +99,12 @@ def _gauge_row(N: int, j: int) -> XRational:
 
 def apply_gauge_potential(f: XRational, j: int) -> XRational:
     """Multiply by the real gauge row B_j of particle j; the factor i of
-    A_j = i*B_j is carried by TermShape.prefactor (exact; denominators
-    recorded, reduction stays lazy)."""
+    A_j = i*B_j is carried by TermShape.prefactor (exact; the row's
+    denominator pairs are added to f's)."""
     N = f.nvars
     if not 1 <= j <= N:
         raise ValueError(f"index {j} out of range")
-    row = _gauge_row(N, j)
-    pairs = dict(f.den_pairs)
-    for key, e in row.den_pairs.items():
-        pairs[key] = pairs.get(key, 0) + e
-    return XRational(f.num * row.num, pairs)
+    return f * _gauge_row(N, j)
 
 
 def pair_curvature(nvars: int, a: int, b: int) -> XRational:
@@ -168,47 +163,35 @@ def term_shapes(order: int) -> tuple[TermShape, ...]:
 # the integral action
 # ---------------------------------------------------------------------------
 
-_monomial_cache: dict[tuple[int, int, Weight], ZPolynomial] = {}
-_monomial_lock = threading.RLock()
-
-
+@functools.lru_cache(maxsize=None)
 def _engine_monomial(order: int, w: Weight, N: int) -> ZPolynomial:
     """Raw engine action on the single monomial z^w (natural normalization)."""
-    key = (N, order, w)
-    with _monomial_lock:
-        hit = _monomial_cache.get(key)
-        if hit is not None:
-            return hit
-        f = _lift_monomial(N, w)
-        indices = range(1, N + 1)
-        parts: list[XRational] = []
-        for shape in term_shapes(order):
-            kpow = shape.kappa_power
-            pre = KappaRational(
-                KappaPolynomial([0] * kpow + [shape.prefactor]))
-            for mset in itertools.combinations(indices, shape.mom):
-                g = f
-                for a in mset:
-                    g = apply_momentum(g, a)
-                if g.is_zero:
-                    continue
-                rest = [a for a in indices if a not in mset]
-                for bset in itertools.combinations(rest, shape.gauge):
-                    term = XRational(g)
-                    for a in bset:
-                        term = apply_gauge_potential(term, a)
-                    if shape.curv:
-                        left = [a for a in rest if a not in bset]
-                        for vpair in itertools.combinations(left, 2):
-                            parts.append(
-                                (term * pair_curvature(N, *vpair)).scale(pre))
-                    else:
-                        parts.append(term.scale(pre))
-        total = xr_sum(parts, N)
-        poly = divide_exact(total)
-        result = project(poly)
-        _monomial_cache[key] = result
-        return result
+    f = _lift_monomial(N, w)
+    indices = range(1, N + 1)
+    parts: list[XRational] = []
+    for shape in term_shapes(order):
+        kpow = shape.kappa_power
+        pre = KappaRational(
+            KappaPolynomial([0] * kpow + [shape.prefactor]))
+        for mset in itertools.combinations(indices, shape.mom):
+            g = f
+            for a in mset:
+                g = apply_momentum(g, a)
+            if g.is_zero:
+                continue
+            rest = [a for a in indices if a not in mset]
+            for bset in itertools.combinations(rest, shape.gauge):
+                term = XRational(g)
+                for a in bset:
+                    term = apply_gauge_potential(term, a)
+                if shape.curv:
+                    left = [a for a in rest if a not in bset]
+                    for vpair in itertools.combinations(left, 2):
+                        parts.append(
+                            (term * pair_curvature(N, *vpair)).scale(pre))
+                else:
+                    parts.append(term.scale(pre))
+    return project(divide_exact(xr_sum(parts, N)))
 
 
 def apply_integral(order: int, p: ZPolynomial, N: Optional[int] = None) -> ZPolynomial:
@@ -346,55 +329,46 @@ class Calibration:
     offsets: dict[int, KappaRational]
 
 
-_calibration_cache: dict[int, Calibration] = {}
-_calibration_lock = threading.RLock()
-
-
+@functools.lru_cache(maxsize=None)
 def calibrate(N: int) -> Calibration:
     """Fix (scale_j, offset_j) for j = 2..N on known eigenpolynomials and
     verify on a fourth one; N in {3, 4}."""
     if N not in (3, 4):
         raise ValueError(f"calibration supports N in {{3, 4}}, got {N}")
-    with _calibration_lock:
-        hit = _calibration_cache.get(N)
-        if hit is not None:
-            return hit
-        from . import gegenbauer as gg
+    from . import gegenbauer as gg
 
-        rank = N - 1
-        zero_w = (0,) * rank
-        e1_w = tuple(1 if i == 0 else 0 for i in range(rank))
-        en_w = tuple(1 if i == rank - 1 else 0 for i in range(rank))
-        extra_w = (1, 1) if N == 3 else (0, 1, 0)
-        vectors = [gg.gen_eigen(w, N) for w in (e1_w, en_w, extra_w)]
-        weights = [e1_w, en_w, extra_w]
+    rank = N - 1
+    zero_w = (0,) * rank
+    e1_w = tuple(1 if i == 0 else 0 for i in range(rank))
+    en_w = tuple(1 if i == rank - 1 else 0 for i in range(rank))
+    extra_w = (1, 1) if N == 3 else (0, 1, 0)
+    vectors = [gg.gen_eigen(w, N) for w in (e1_w, en_w, extra_w)]
+    weights = [e1_w, en_w, extra_w]
 
-        scales: dict[int, Fraction] = {}
-        offsets: dict[int, KappaRational] = {}
-        for j in range(2, N + 1):
-            offset = gg.l_elementary(zero_w, N, j)
-            base = apply_integral(j, ZPolynomial.variable(rank, 1), N)
-            if set(base.terms) != {e1_w}:
+    scales: dict[int, Fraction] = {}
+    offsets: dict[int, KappaRational] = {}
+    for j in range(2, N + 1):
+        offset = gg.l_elementary(zero_w, N, j)
+        base = apply_integral(j, ZPolynomial.variable(rank, 1), N)
+        if set(base.terms) != {e1_w}:
+            raise ConventionMismatch(
+                f"order {j} does not act diagonally on z_1")
+        lam = base.coefficient(e1_w)
+        target = gg.l_elementary(e1_w, N, j)
+        scale_val = (target - offset) / lam
+        if not scale_val.is_constant:
+            raise ConventionMismatch(
+                f"order {j} scale is not a rational constant: {scale_val!r}")
+        scale = Fraction(scale_val.constant_value())
+        for w, vec in zip(weights, vectors):
+            lhs = apply_integral(j, vec, N).scale(kr(scale)) + vec.scale(offset)
+            rhs = vec.scale(gg.l_elementary(w, N, j))
+            if lhs != rhs:
                 raise ConventionMismatch(
-                    f"order {j} does not act diagonally on z_1")
-            lam = base.coefficient(e1_w)
-            target = gg.l_elementary(e1_w, N, j)
-            scale_val = (target - offset) / lam
-            if not scale_val.is_constant:
-                raise ConventionMismatch(
-                    f"order {j} scale is not a rational constant: {scale_val!r}")
-            scale = Fraction(scale_val.constant_value())
-            for w, vec in zip(weights, vectors):
-                lhs = apply_integral(j, vec, N).scale(kr(scale)) + vec.scale(offset)
-                rhs = vec.scale(gg.l_elementary(w, N, j))
-                if lhs != rhs:
-                    raise ConventionMismatch(
-                        f"order {j} calibration fails on weight {w}")
-            scales[j] = scale
-            offsets[j] = offset
-        cal = Calibration(N, scales, offsets)
-        _calibration_cache[N] = cal
-        return cal
+                    f"order {j} calibration fails on weight {w}")
+        scales[j] = scale
+        offsets[j] = offset
+    return Calibration(N, scales, offsets)
 
 
 def char_apply(p: ZPolynomial, N: int, t: Optional[KappaRational] = None):

@@ -128,6 +128,16 @@ def dominated_weights(lam: Weight) -> list[Weight]:
 # z-space polynomials
 # ---------------------------------------------------------------------------
 
+def _add_term(out: dict, key, c: KappaRational) -> None:
+    """Sum c into out[key], dropping the entry when the sum is zero."""
+    s = out.get(key)
+    s = c if s is None else s + c
+    if s.is_zero:
+        out.pop(key, None)
+    else:
+        out[key] = s
+
+
 def _coerce_scalar(c) -> KappaRational:
     if isinstance(c, KappaRational):
         return c
@@ -216,12 +226,7 @@ class ZPolynomial:
         self._check(other)
         out = dict(self.terms)
         for w, c in other.terms.items():
-            s = out.get(w)
-            s = c if s is None else s + c
-            if s.is_zero:
-                out.pop(w, None)
-            else:
-                out[w] = s
+            _add_term(out, w, c)
         return ZPolynomial._raw(self.rank, out)
 
     def __sub__(self, other: "ZPolynomial") -> "ZPolynomial":
@@ -235,14 +240,7 @@ class ZPolynomial:
         out: dict[Weight, KappaRational] = {}
         for wa, ca in self.terms.items():
             for wb, cb in other.terms.items():
-                w = tuple(a + b for a, b in zip(wa, wb))
-                c = ca * cb
-                s = out.get(w)
-                s = c if s is None else s + c
-                if s.is_zero:
-                    out.pop(w, None)
-                else:
-                    out[w] = s
+                _add_term(out, tuple(a + b for a, b in zip(wa, wb)), ca * cb)
         return ZPolynomial._raw(self.rank, out)
 
     def scale(self, s) -> "ZPolynomial":
@@ -265,14 +263,7 @@ class ZPolynomial:
                 continue
             nw = list(w)
             nw[i - 1] = e - 1
-            nw = tuple(nw)
-            c2 = c * kr(e)
-            s = out.get(nw)
-            s = c2 if s is None else s + c2
-            if not s.is_zero:
-                out[nw] = s
-            else:
-                out.pop(nw, None)
+            _add_term(out, tuple(nw), c * kr(e))
         return ZPolynomial(self.rank, out)
 
     # -- evaluation --------------------------------------------------------
@@ -373,12 +364,7 @@ class XPolynomial:
     def __add__(self, other: "XPolynomial") -> "XPolynomial":
         out = dict(self.terms)
         for e, c in other.terms.items():
-            s = out.get(e)
-            s = c if s is None else s + c
-            if s.is_zero:
-                out.pop(e, None)
-            else:
-                out[e] = s
+            _add_term(out, e, c)
         return XPolynomial._raw(self.nvars, out)
 
     def __sub__(self, other: "XPolynomial") -> "XPolynomial":
@@ -394,14 +380,7 @@ class XPolynomial:
             a, b = b, a
         for eb, cb in b.items():
             for ea, ca in a.items():
-                e = tuple(x + y for x, y in zip(ea, eb))
-                c = ca * cb
-                s = out.get(e)
-                s = c if s is None else s + c
-                if s.is_zero:
-                    out.pop(e, None)
-                else:
-                    out[e] = s
+                _add_term(out, tuple(x + y for x, y in zip(ea, eb)), ca * cb)
         return XPolynomial._raw(self.nvars, out)
 
     def scale(self, s) -> "XPolynomial":
@@ -514,7 +493,8 @@ class XRational:
 
 
 def xr_sum(items: Iterable[XRational], nvars: int) -> XRational:
-    """Sum over one common denominator; cheaper than chained adds."""
+    """Sum over one common denominator: each numerator is raised to the
+    largest power of every pair factor, then the numerators are added."""
     items = list(items)
     pairs: dict[tuple[int, int], int] = {}
     for it in items:
@@ -543,24 +523,15 @@ def _div_binomial(p: XPolynomial, a: int, b: int) -> XPolynomial:
         layers.setdefault(d, {})[tuple(reduced)] = c
     quot: dict[tuple, KappaRational] = {}
     carry: dict[tuple, KappaRational] = {}
-
-    def _acc(target: dict, e: tuple, c: KappaRational):
-        s = target.get(e)
-        s = c if s is None else s + c
-        if s.is_zero:
-            target.pop(e, None)
-        else:
-            target[e] = s
-
     for d in range(top, 0, -1):
         # quotient layer at x_a^(d-1) = P_d + x_b * (previous layer)
         layer: dict[tuple, KappaRational] = {}
         for e, c in layers.get(d, {}).items():
-            _acc(layer, e, c)
+            _add_term(layer, e, c)
         for e, c in carry.items():
             ne = list(e)
             ne[bi] += 1
-            _acc(layer, tuple(ne), c)
+            _add_term(layer, tuple(ne), c)
         for e, c in layer.items():
             qe = list(e)
             qe[ai] = d - 1
@@ -569,11 +540,11 @@ def _div_binomial(p: XPolynomial, a: int, b: int) -> XPolynomial:
     # remainder = P_0 + x_b * carry must vanish
     rem: dict[tuple, KappaRational] = {}
     for e, c in layers.get(0, {}).items():
-        _acc(rem, e, c)
+        _add_term(rem, e, c)
     for e, c in carry.items():
         ne = list(e)
         ne[bi] += 1
-        _acc(rem, tuple(ne), c)
+        _add_term(rem, tuple(ne), c)
     if rem:
         raise NonPolynomialOutput("non-polynomial operator output")
     return XPolynomial(p.nvars, quot)
@@ -660,18 +631,7 @@ def project(f: XPolynomial) -> ZPolynomial:
             raise NonSymmetricInput(
                 f"leading exponent {alpha} is not weakly decreasing")
         e_expo = tuple(alpha[i] - alpha[i + 1] for i in range(nvars - 1)) + (alpha[-1],)
-        zw = e_expo[:rank]
-        prev = out.get(zw)
-        s = c if prev is None else prev + c
-        if s.is_zero:
-            out.pop(zw, None)
-        else:
-            out[zw] = s
-        for e, ec in _elementary_product(nvars, e_expo).scale(c).terms.items():
-            cur = work.get(e)
-            cur = -ec if cur is None else cur - ec
-            if cur.is_zero:
-                work.pop(e, None)
-            else:
-                work[e] = cur
+        _add_term(out, e_expo[:rank], c)
+        for e, ec in _elementary_product(nvars, e_expo).scale(-c).terms.items():
+            _add_term(work, e, ec)
     return ZPolynomial(rank, out)

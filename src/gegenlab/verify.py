@@ -260,7 +260,7 @@ def suite_duality(rank: int = 2, max_degree: int = 2) -> VerificationReport:
     return rep
 
 
-def suite_kappa1(rank: int = 3) -> VerificationReport:
+def suite_kappa1() -> VerificationReport:
     """At coupling 1 every recurrence coefficient with a nonzero leading
     index factor is exactly 1 (and exactly 0 otherwise)."""
     t0 = time.perf_counter()
@@ -327,7 +327,7 @@ def run_suite(name: str, rank: Optional[int] = None,
         out.append(suite_commutators(2, 4))
         out.append(suite_commutators(3, 4))
         out.append(suite_sigma(2, max_components))
-        out.append(suite_sigma(3, None if max_components is None else max_components))
+        out.append(suite_sigma(3, max_components))
         out.append(suite_duality(2))
         out.append(suite_duality(3))
         out.append(suite_kappa1())

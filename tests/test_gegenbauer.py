@@ -1,5 +1,6 @@
 """Polynomial family: spectra, generation routes, recurrences, step operators."""
 import itertools
+import threading
 from fractions import Fraction
 
 import pytest
@@ -12,8 +13,9 @@ from gegenlab.scalars import (
     kr,
     lin,
 )
+from gegenlab import gegenbauer, integrals, symfun
 from gegenlab.symfun import ZPolynomial, dominated_weights
-from gegenlab.integrals import apply_integral
+from gegenlab.integrals import apply_integral, calibrate
 from gegenlab.gegenbauer import (
     ShiftNotTabulated,
     char_eigenvalue,
@@ -330,3 +332,68 @@ class TestSigmaClosedForm:
             for s in tabulated_shifts(3):
                 _, sigma = step(m, s, 3)
                 assert sigma == sigma_closed_form(m, s, 3)
+
+
+def _cached_functions():
+    """Every memoized function of the symfun, integrals and gegenbauer
+    modules, by name."""
+    found = {}
+    for mod in (symfun, integrals, gegenbauer):
+        for name, value in vars(mod).items():
+            if callable(getattr(value, "cache_clear", None)):
+                found[name] = value
+    return found
+
+
+def _clear_caches():
+    for fn in _cached_functions().values():
+        fn.cache_clear()
+
+
+class TestCaches:
+    def test_caches_can_be_cleared(self):
+        def compute():
+            return gen_eigen((2, 1), 3), gen_recurrence((2, 1), 3), calibrate(3)
+
+        # no memo dict outside cache_clear's reach
+        for mod in (symfun, integrals, gegenbauer):
+            for name, value in vars(mod).items():
+                assert not (name.endswith("_cache") and isinstance(value, dict)), name
+        first = compute()
+        _clear_caches()
+        for name, fn in _cached_functions().items():
+            assert fn.cache_info().currsize == 0, name
+        assert compute() == first
+        for name in ("_engine_monomial", "calibrate", "_symbolic_eigen",
+                     "_gen_recurrence_inner"):
+            assert _cached_functions()[name].cache_info().misses > 0, name
+
+    def test_numeric_coupling_bypasses_symbolic_cache(self):
+        gegenbauer._symbolic_eigen.cache_clear()
+        gen_eigen((2, 1), 3, kappa=Fraction(1, 2))
+        info = gegenbauer._symbolic_eigen.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (0, 0, 0)
+
+    def test_concurrent_cold_computation(self):
+        def compute():
+            return (gen_eigen((2, 1), 3), gen_recurrence((1, 1), 3),
+                    step((1, 0), (1, 0), 3))
+
+        serial = compute()
+        _clear_caches()
+        results = [None, None]
+        errors = []
+
+        def worker(i):
+            try:
+                results[i] = compute()
+            except BaseException as exc:  # reported by the assertion below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        assert not errors, errors
+        assert results == [serial, serial]
