@@ -11,12 +11,21 @@ fixed once, for x_j on the unit circle:
 A term of order j is a product of curvature pairs, gauge factors and
 derivative factors over j distinct particle indices, summed over all
 non-equivalent index assignments; the kappa power of a term is the number
-of gauge factors plus twice the number of curvature pairs.  The engine works
-with the real B_j and the real momentum x_j d/dx_j - d/N; every factor of i
-is collected into one real integer per term shape (``TermShape.prefactor``),
-so all arithmetic stays over the rationals.  Applying the engine to a
-polynomial and subtracting its action on 1 realizes normal ordering
-semantically.
+of gauge factors plus twice the number of curvature pairs, that is
+j - mom for a term with mom derivative factors.  The engine works with the
+real B_j and the integer momentum N x_j d/dx_j - d; the factors of i leave
+one sign per term shape (``TermShape.sign``) and a factor 2 per derivative.
+
+So the x-space layer computes over the integers, one kappa power at a time:
+the terms with mom derivative factors are summed over one common
+denominator, divided exactly and projected to a z-polynomial Z_mom with
+integer coefficients.  The single assembly step
+
+    sum over mom of  kappa^(j - mom) * 2^mom / N^mom * Z_mom
+
+is the only place where the engine meets KappaRational.  Applying the
+engine to a polynomial and subtracting its action on 1 realizes normal
+ordering semantically.
 
 ``apply_integral(2, . )`` is normalized to have the non-negative spectrum
 (its eigenvalue on an eigenpolynomial is the excitation energy); higher
@@ -34,15 +43,18 @@ from typing import Optional
 from .scalars import (
     KappaPolynomial,
     KappaRational,
+    kappa,
     kr,
 )
 from .symfun import (
+    NonPolynomialOutput,
+    NonSymmetricInput,
     RankMismatch,
     Weight,
     XPolynomial,
     XRational,
     ZPolynomial,
-    _lift_monomial,
+    _elementary_product,
     divide_exact,
     grlex_key,
     project,
@@ -67,18 +79,19 @@ class ConventionMismatch(EngineError):
 # ---------------------------------------------------------------------------
 
 def apply_momentum(f: XPolynomial, j: int) -> XPolynomial:
-    """Barycentric momentum: x_j d/dx_j - d/N on each homogeneous component."""
+    """Barycentric momentum times N: N x_j d/dx_j - d on each homogeneous
+    component of degree d, an operator with integer coefficients; the
+    engine's assembly divides by N once per derivative factor."""
     N = f.nvars
     if not 1 <= j <= N:
         raise ValueError(f"index {j} out of range")
     ji = j - 1
-    out: dict[tuple, KappaRational] = {}
+    out = {}
     for e, c in f.terms.items():
-        d = sum(e)
-        factor = Fraction(e[ji] * N - d, N)
+        factor = e[ji] * N - sum(e)
         if factor:
-            out[e] = c * kr(factor)
-    return XPolynomial(N, out)
+            out[e] = c * factor
+    return XPolynomial._raw(N, out)
 
 
 def pair_potential(nvars: int, j: int, k: int) -> XRational:
@@ -99,7 +112,7 @@ def _gauge_row(N: int, j: int) -> XRational:
 
 def apply_gauge_potential(f: XRational, j: int) -> XRational:
     """Multiply by the real gauge row B_j of particle j; the factor i of
-    A_j = i*B_j is carried by TermShape.prefactor (exact; the row's
+    A_j = i*B_j is carried by TermShape.sign (exact; the row's
     denominator pairs are added to f's)."""
     N = f.nvars
     if not 1 <= j <= N:
@@ -114,7 +127,7 @@ def pair_curvature(nvars: int, a: int, b: int) -> XRational:
     e = [0] * nvars
     e[a - 1] = 1
     e[b - 1] = 1
-    num = XPolynomial.monomial(nvars, tuple(e), kr(-4))
+    num = XPolynomial.monomial(nvars, tuple(e), -4)
     return XRational(num, {(a, b): 2})
 
 
@@ -132,21 +145,13 @@ class TermShape:
     mom: int
 
     @property
-    def order(self) -> int:
-        return 2 * self.curv + self.gauge + self.mom
-
-    @property
-    def kappa_power(self) -> int:
-        return self.gauge + 2 * self.curv
-
-    @property
-    def prefactor(self) -> int:
-        """(-i)^order * (2i)^mom * i^gauge, the factors of i from the
+    def sign(self) -> int:
+        """(-i)^order * (2i)^mom * i^gauge / 2^mom, the factors of i from the
         expansion, the derivative factors and the gauge factors.  Since
-        order = 2*curv + gauge + mom this equals the real integer
-        (-1)^(order + curv + gauge + mom) * 2^mom."""
-        sign = -1 if (self.order + self.curv + self.gauge + self.mom) % 2 else 1
-        return sign * 2 ** self.mom
+        order = 2*curv + gauge + mom this equals (-1)^curv; the 2^mom is
+        left to the engine's assembly, which it shares with every shape of
+        the same mom."""
+        return -1 if self.curv % 2 else 1
 
 
 def term_shapes(order: int) -> tuple[TermShape, ...]:
@@ -166,19 +171,19 @@ def term_shapes(order: int) -> tuple[TermShape, ...]:
 @functools.lru_cache(maxsize=None)
 def _engine_monomial(order: int, w: Weight, N: int) -> ZPolynomial:
     """Raw engine action on the single monomial z^w (natural normalization)."""
-    f = _lift_monomial(N, w)
+    f = _elementary_product(N, w)
     indices = range(1, N + 1)
-    parts: list[XRational] = []
+    groups: dict[int, list[XRational]] = {}
     for shape in term_shapes(order):
-        kpow = shape.kappa_power
-        pre = KappaRational(
-            KappaPolynomial([0] * kpow + [shape.prefactor]))
+        parts = groups.setdefault(shape.mom, [])
         for mset in itertools.combinations(indices, shape.mom):
             g = f
             for a in mset:
                 g = apply_momentum(g, a)
             if g.is_zero:
                 continue
+            if shape.sign < 0:
+                g = -g
             rest = [a for a in indices if a not in mset]
             for bset in itertools.combinations(rest, shape.gauge):
                 term = XRational(g)
@@ -187,11 +192,19 @@ def _engine_monomial(order: int, w: Weight, N: int) -> ZPolynomial:
                 if shape.curv:
                     left = [a for a in rest if a not in bset]
                     for vpair in itertools.combinations(left, 2):
-                        parts.append(
-                            (term * pair_curvature(N, *vpair)).scale(pre))
+                        parts.append(term * pair_curvature(N, *vpair))
                 else:
-                    parts.append(term.scale(pre))
-    return project(divide_exact(xr_sum(parts, N)))
+                    parts.append(term)
+    out = ZPolynomial.zero(N - 1)
+    for mom, parts in groups.items():
+        try:
+            z = project(divide_exact(xr_sum(parts, N)))
+        except (NonPolynomialOutput, NonSymmetricInput) as exc:
+            raise type(exc)(
+                f"engine order {order}, weight {w}, N={N},"
+                f" κ power {order - mom}: {exc}") from exc
+        out = out + z.scale(kr(2 ** mom, N ** mom) * kappa() ** (order - mom))
+    return out
 
 
 def apply_integral(order: int, p: ZPolynomial, N: Optional[int] = None) -> ZPolynomial:

@@ -13,12 +13,18 @@ Two polynomial rings and the bridge between them:
 potential and the curvature, whose denominators are products of pairwise
 differences (x_j - x_k); ``divide_exact`` recovers the polynomial quotient
 and treats a nonzero remainder as an engine bug.
+
+``ZPolynomial`` coefficients are KappaRational.  The x-space classes keep
+the coefficients they are given, Python ints on the engine's path (one
+power of kappa at a time) and KappaRational through ``lift``; a coefficient
+is zero when it tests false.
 """
 from __future__ import annotations
 
 import functools
 import itertools
 from fractions import Fraction
+from operator import add
 from typing import Iterable, Mapping, Optional
 
 from .scalars import KappaPolynomial, KappaRational, kr
@@ -128,14 +134,14 @@ def dominated_weights(lam: Weight) -> list[Weight]:
 # z-space polynomials
 # ---------------------------------------------------------------------------
 
-def _add_term(out: dict, key, c: KappaRational) -> None:
+def _add_term(out: dict, key, c) -> None:
     """Sum c into out[key], dropping the entry when the sum is zero."""
     s = out.get(key)
     s = c if s is None else s + c
-    if s.is_zero:
-        out.pop(key, None)
-    else:
+    if s:
         out[key] = s
+    else:
+        out.pop(key, None)
 
 
 def _coerce_scalar(c) -> KappaRational:
@@ -310,16 +316,16 @@ class ZPolynomial:
 # ---------------------------------------------------------------------------
 
 class XPolynomial:
-    """Sparse polynomial in x_1..x_N with KappaRational coefficients."""
+    """Sparse polynomial in x_1..x_N; coefficients are ints on the engine's
+    path and may be any ring element (KappaRational for ``lift``)."""
 
     __slots__ = ("nvars", "terms")
 
-    def __init__(self, nvars: int, terms: Optional[Mapping[tuple, KappaRational]] = None):
-        clean: dict[tuple, KappaRational] = {}
+    def __init__(self, nvars: int, terms: Optional[Mapping[tuple, object]] = None):
+        clean: dict[tuple, object] = {}
         if terms:
             for e, c in terms.items():
-                c = _coerce_scalar(c)
-                if not c.is_zero:
+                if c:
                     clean[tuple(e)] = c
         object.__setattr__(self, "nvars", nvars)
         object.__setattr__(self, "terms", clean)
@@ -344,18 +350,18 @@ class XPolynomial:
 
     @staticmethod
     def one(nvars: int) -> "XPolynomial":
-        return XPolynomial(nvars, {(0,) * nvars: KappaRational.one()})
+        return XPolynomial(nvars, {(0,) * nvars: 1})
 
     @staticmethod
     def monomial(nvars: int, expo: tuple, coeff=1) -> "XPolynomial":
-        return XPolynomial(nvars, {tuple(expo): _coerce_scalar(coeff)})
+        return XPolynomial(nvars, {tuple(expo): coeff})
 
     @staticmethod
     def variable(nvars: int, j: int) -> "XPolynomial":
         """The coordinate x_j, 1-based."""
         e = [0] * nvars
         e[j - 1] = 1
-        return XPolynomial(nvars, {tuple(e): KappaRational.one()})
+        return XPolynomial(nvars, {tuple(e): 1})
 
     @property
     def is_zero(self) -> bool:
@@ -374,25 +380,17 @@ class XPolynomial:
         return XPolynomial._raw(self.nvars, {e: -c for e, c in self.terms.items()})
 
     def __mul__(self, other: "XPolynomial") -> "XPolynomial":
-        out: dict[tuple, KappaRational] = {}
+        out: dict[tuple, object] = {}
         a, b = self.terms, other.terms
         if len(a) < len(b):
             a, b = b, a
         for eb, cb in b.items():
             for ea, ca in a.items():
-                _add_term(out, tuple(x + y for x, y in zip(ea, eb)), ca * cb)
+                _add_term(out, tuple(map(add, ea, eb)), ca * cb)
         return XPolynomial._raw(self.nvars, out)
 
     def scale(self, s) -> "XPolynomial":
-        s = _coerce_scalar(s)
-        if s.is_zero:
-            return XPolynomial(self.nvars)
-        out = {}
-        for e, c in self.terms.items():
-            c = c * s
-            if not c.is_zero:
-                out[e] = c
-        return XPolynomial._raw(self.nvars, out)
+        return XPolynomial(self.nvars, {e: c * s for e, c in self.terms.items()})
 
     def swap_violation(self) -> Optional[tuple[int, int]]:
         """First adjacent transposition (j, j+1), 1-based, under which the
@@ -401,7 +399,7 @@ class XPolynomial:
             for e, c in self.terms.items():
                 se = list(e)
                 se[j], se[j + 1] = se[j + 1], se[j]
-                if self.terms.get(tuple(se), KappaRational.zero()) != c:
+                if self.terms.get(tuple(se), 0) != c:
                     return (j + 1, j + 2)
         return None
 
@@ -461,27 +459,11 @@ class XRational:
     def nvars(self) -> int:
         return self.num.nvars
 
-    @property
-    def is_zero(self) -> bool:
-        return self.num.is_zero
-
-    def _raised_num(self, pairs: Mapping[tuple[int, int], int]) -> XPolynomial:
-        """Numerator re-expressed over the (larger) target denominator."""
-        out = self.num
-        for key, e in pairs.items():
-            extra = e - self.den_pairs.get(key, 0)
-            if extra:
-                out = out * _binomial_power(self.nvars, key[0], key[1], extra)
-        return out
-
     def __mul__(self, other: "XRational") -> "XRational":
         pairs = dict(self.den_pairs)
         for key, e in other.den_pairs.items():
             pairs[key] = pairs.get(key, 0) + e
         return XRational(self.num * other.num, pairs)
-
-    def scale(self, s) -> "XRational":
-        return XRational(self.num.scale(s), self.den_pairs)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, XRational):
@@ -493,17 +475,26 @@ class XRational:
 
 
 def xr_sum(items: Iterable[XRational], nvars: int) -> XRational:
-    """Sum over one common denominator: each numerator is raised to the
-    largest power of every pair factor, then the numerators are added."""
-    items = list(items)
+    """Sum over one common denominator: numerators over equal denominators
+    are added first, then each such sum is raised to the largest power of
+    every pair factor and the results are added."""
     pairs: dict[tuple[int, int], int] = {}
+    by_den: dict[tuple, dict] = {}
     for it in items:
         for key, e in it.den_pairs.items():
             pairs[key] = max(pairs.get(key, 0), e)
-    total = XPolynomial.zero(nvars)
-    for it in items:
-        total = total + it._raised_num(pairs)
-    return XRational(total, pairs)
+        acc = by_den.setdefault(tuple(sorted(it.den_pairs.items())), {})
+        for e, c in it.num.terms.items():
+            _add_term(acc, e, c)
+    total: dict = {}
+    for den_key, acc in by_den.items():
+        num, den = XPolynomial._raw(nvars, acc), dict(den_key)
+        for (a, b), e in pairs.items():
+            if e > den.get((a, b), 0):
+                num = num * _binomial_power(nvars, a, b, e - den.get((a, b), 0))
+        for e, c in num.terms.items():
+            _add_term(total, e, c)
+    return XRational(XPolynomial._raw(nvars, total), pairs)
 
 
 def _div_binomial(p: XPolynomial, a: int, b: int) -> XPolynomial:
@@ -513,7 +504,7 @@ def _div_binomial(p: XPolynomial, a: int, b: int) -> XPolynomial:
     if p.is_zero:
         return p
     # group terms by the exponent of x_a
-    layers: dict[int, dict[tuple, KappaRational]] = {}
+    layers: dict[int, dict] = {}
     top = 0
     for e, c in p.terms.items():
         d = e[ai]
@@ -521,11 +512,11 @@ def _div_binomial(p: XPolynomial, a: int, b: int) -> XPolynomial:
         reduced = list(e)
         reduced[ai] = 0
         layers.setdefault(d, {})[tuple(reduced)] = c
-    quot: dict[tuple, KappaRational] = {}
-    carry: dict[tuple, KappaRational] = {}
+    quot: dict = {}
+    carry: dict = {}
     for d in range(top, 0, -1):
         # quotient layer at x_a^(d-1) = P_d + x_b * (previous layer)
-        layer: dict[tuple, KappaRational] = {}
+        layer: dict = {}
         for e, c in layers.get(d, {}).items():
             _add_term(layer, e, c)
         for e, c in carry.items():
@@ -538,7 +529,7 @@ def _div_binomial(p: XPolynomial, a: int, b: int) -> XPolynomial:
             quot[tuple(qe)] = c
         carry = layer
     # remainder = P_0 + x_b * carry must vanish
-    rem: dict[tuple, KappaRational] = {}
+    rem: dict = {}
     for e, c in layers.get(0, {}).items():
         _add_term(rem, e, c)
     for e, c in carry.items():
@@ -547,7 +538,7 @@ def _div_binomial(p: XPolynomial, a: int, b: int) -> XPolynomial:
         _add_term(rem, tuple(ne), c)
     if rem:
         raise NonPolynomialOutput("non-polynomial operator output")
-    return XPolynomial(p.nvars, quot)
+    return XPolynomial._raw(p.nvars, quot)
 
 
 def divide_exact(f: XRational) -> XPolynomial:
@@ -575,7 +566,7 @@ def elementary(nvars: int, i: int) -> XPolynomial:
         e = [0] * nvars
         for j in combo:
             e[j] = 1
-        terms[tuple(e)] = KappaRational.one()
+        terms[tuple(e)] = 1
     return XPolynomial(nvars, terms)
 
 
@@ -604,11 +595,6 @@ def lift(p: ZPolynomial, nvars: int) -> XPolynomial:
     return out
 
 
-@functools.lru_cache(maxsize=None)
-def _lift_monomial(nvars: int, w: Weight) -> XPolynomial:
-    return _elementary_product(nvars, w)
-
-
 def project(f: XPolynomial) -> ZPolynomial:
     """Unique expression of a symmetric polynomial in e_1..e_N, with e_N = 1.
 
@@ -623,7 +609,7 @@ def project(f: XPolynomial) -> ZPolynomial:
     nvars = f.nvars
     rank = nvars - 1
     work = dict(f.terms)
-    out: dict[Weight, KappaRational] = {}
+    out: dict = {}
     while work:
         alpha = max(work)
         c = work[alpha]

@@ -8,7 +8,9 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from gegenlab import integrals
 from gegenlab.scalars import (
     KappaPolynomial,
     KappaRational,
@@ -17,6 +19,8 @@ from gegenlab.scalars import (
     lin,
 )
 from gegenlab.symfun import (
+    NonPolynomialOutput,
+    NonSymmetricInput,
     XPolynomial,
     XRational,
     ZPolynomial,
@@ -45,7 +49,7 @@ def xvar(n, j):
 def _eval_xpoly(p, xs):
     total = Fraction(0)
     for e, c in p.terms.items():
-        term = c(Fraction(0))  # coefficients here carry no coupling
+        term = Fraction(c)  # the engine's x-space coefficients are ints
         for x, k in zip(xs, e):
             if k:
                 term = term * Fraction(x ** k)
@@ -95,8 +99,9 @@ class TestPickleAndCopy:
 
 class TestMomentum:
     def test_degree_shift(self):
+        # N x_1 d/dx_1 - d on x1 x2 at N = 3: 3*1 - 2 = 1
         f = XPolynomial.monomial(3, (1, 1, 0))
-        assert apply_momentum(f, 1) == f.scale(kr(1, 3))
+        assert apply_momentum(f, 1) == f
 
     def test_constant_is_killed(self):
         assert apply_momentum(XPolynomial.one(3), 2).is_zero
@@ -205,6 +210,54 @@ class TestApplyIntegral:
     def test_unsupported_order(self):
         with pytest.raises(ValueError):
             apply_integral(5, ZPolynomial.one(4), 5)
+
+
+class TestEngineErrors:
+    """A failure inside the engine names the monomial it was computing."""
+
+    @staticmethod
+    def _assert_names_inputs(error, kappa_power):
+        with pytest.raises(error) as err:
+            integrals._engine_monomial.__wrapped__(3, (1, 0), 3)
+        for part in ("order 3", "weight (1, 0)", "N=3", f"κ power {kappa_power}"):
+            assert part in str(err.value)
+
+    def test_wrong_curvature_denominator(self, monkeypatch):
+        curvature = integrals.pair_curvature
+        monkeypatch.setattr(integrals, "pair_curvature", lambda n, a, b: XRational(
+            curvature(n, a, b).num, {(a, b): 3}))
+        self._assert_names_inputs(NonPolynomialOutput, 2)
+
+    def test_asymmetric_quotient(self, monkeypatch):
+        monkeypatch.setattr(integrals, "divide_exact",
+                            lambda f: XPolynomial.variable(f.nvars, 1))
+        self._assert_names_inputs(NonSymmetricInput, 0)
+
+
+def _z_monomial_weights(rank, degree):
+    return [w for w in itertools.product(range(degree + 1), repeat=rank)
+            if weighted_degree(w) <= degree]
+
+
+@st.composite
+def _engine_case(draw):
+    N, order = draw(st.sampled_from([(3, 2), (3, 3), (4, 2)]))
+    weights = draw(st.lists(st.sampled_from(_z_monomial_weights(N - 1, 6)),
+                            min_size=1, max_size=3, unique=True))
+    coeffs = draw(st.lists(st.integers(-5, 5).filter(bool),
+                           min_size=len(weights), max_size=len(weights)))
+    return N, order, ZPolynomial(N - 1, dict(zip(weights, map(kr, coeffs))))
+
+
+class TestEngineProperty:
+    """The engine against the closed-form transcriptions, an independent
+    route, beyond the weighted degree 4 that criterion 7 covers."""
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(_engine_case())
+    def test_engine_equals_transcription(self, case):
+        N, order, p = case
+        assert apply_integral(order, p, N) == transcribed_operator(N, order).apply(p)
 
 
 class TestTranscription:
