@@ -10,9 +10,7 @@ from .scalars import (
     SpectralDegeneracy,
     kappa,
     kr,
-    kr_arith,
     kr_eval,
-    kr_normalize,
     lin,
 )
 from .symfun import (

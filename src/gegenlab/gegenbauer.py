@@ -434,7 +434,8 @@ def expand_product(r: int, m: Weight, N: int) -> dict[Weight, KappaRational]:
         shift = tuple(a - b for a, b in zip(nu, m))
         if shift not in admissible:
             raise DecompositionError(
-                f"leading weight {nu} is not an admissible target of z_{r}*P_{m}")
+                f"leading weight {nu} is not an admissible target of z_{r}*P_{m}"
+                f" at N={N}")
         c = work.coefficient(nu)
         work = work - gen_eigen(nu, N).scale(c)
         result[shift] = c
@@ -466,23 +467,29 @@ def step(m: Weight, s: Weight, N: int) -> tuple[ZPolynomial, KappaRational]:
     else:
         zr = N - r
         t_shift = kr(2 * r, N)
+    # z_r * P_m and each factor of the subset act on the numerators of P_m
+    # over its common κ-denominator D; z_r only shifts their exponents
     lv = l_vector(m, N)
-    q = ZPolynomial.variable(rank, zr) * gen_eigen(m, N)
+    nums, D = _integrals._split(gen_eigen(m, N))
+    nums = {w[:zr - 1] + (w[zr - 1] + 1,) + w[zr:]: c for w, c in nums.items()}
     for i in subset:
-        t_val = lv.component(i) + t_shift
-        q = _integrals.char_apply(q, N, t_val)
-    if q.is_zero:
+        nums, D = _integrals._delta_at(nums, D, N, lv.component(i) + t_shift)
+    if not nums:
         return ZPolynomial.zero(rank), KappaRational.zero()
+    where = f"shift {s} at {m}, N={N}"
     target = tuple(a + b for a, b in zip(m, s))
     if any(e < 0 for e in target):
         raise DecompositionError(
-            f"nonzero step result for invalid target {target}")
+            f"nonzero step result for invalid target {target} ({where})")
+    # q == P_target * sigma with sigma = q[target], cross-multiplied over D
     p_target = gen_eigen(target, N)
-    sigma = q.coefficient(target)
-    if q != p_target.scale(sigma):
-        raise DecompositionError(
-            f"step result for shift {s} at {m} is not proportional to one polynomial")
-    return p_target, sigma
+    top = nums.get(target, KappaPolynomial.zero())
+    for w in nums.keys() | p_target.terms.keys():
+        c = p_target.coefficient(w)
+        if nums.get(w, KappaPolynomial.zero()) * c.den != top * c.num:
+            raise DecompositionError(
+                f"step result for {where} is not proportional to one polynomial")
+    return p_target, KappaRational(top, D)
 
 
 # ---------------------------------------------------------------------------

@@ -23,9 +23,17 @@ integer coefficients.  The single assembly step
 
     sum over mom of  kappa^(j - mom) * 2^mom / N^mom * Z_mom
 
-is the only place where the engine meets KappaRational.  Applying the
-engine to a polynomial and subtracting its action on 1 realizes normal
-ordering semantically.
+is the only place where the engine meets KappaRational; every coefficient
+of an assembled image is a κ-polynomial.  Every term shape carries a
+derivative factor, so the action on constants is zero: the purely
+multiplicative terms are left out, which realizes normal ordering.
+
+The integrals, the characteristic operator Δ(t) and the step operators
+built from it act fraction-free: a z-polynomial is split into κ-polynomial
+numerators over one common κ-denominator D (the lcm of its coefficient
+denominators), the engine images, calibration scales and offsets and the
+powers of t are multiplied into the numerators only, and each output
+coefficient is reduced once, as numerator / D.
 
 ``apply_integral(2, . )`` is normalized to have the non-negative spectrum
 (its eigenvalue on an eigenpolynomial is the excitation energy); higher
@@ -43,7 +51,6 @@ from typing import Optional
 from .scalars import (
     KappaPolynomial,
     KappaRational,
-    kappa,
     kr,
 )
 from .symfun import (
@@ -54,6 +61,8 @@ from .symfun import (
     XPolynomial,
     XRational,
     ZPolynomial,
+    _add_term,
+    _coerce_scalar,
     _elementary_product,
     divide_exact,
     grlex_key,
@@ -168,9 +177,21 @@ def term_shapes(order: int) -> tuple[TermShape, ...]:
 # the integral action
 # ---------------------------------------------------------------------------
 
+_ONE = KappaPolynomial.one()
+Numerators = dict[Weight, KappaPolynomial]  # over one common κ-denominator
+
+
+def _numerator(c: KappaRational, context: str) -> KappaPolynomial:
+    """The numerator of a coefficient whose κ-denominator must be 1."""
+    if c.den != _ONE:
+        raise EngineError(f"{context}: coefficient {c!r} has a κ-denominator")
+    return c.num
+
+
 @functools.lru_cache(maxsize=None)
-def _engine_monomial(order: int, w: Weight, N: int) -> ZPolynomial:
-    """Raw engine action on the single monomial z^w (natural normalization)."""
+def _engine_monomial(order: int, w: Weight, N: int) -> tuple:
+    """Raw engine action on the single monomial z^w (natural normalization),
+    as (weight, κ-polynomial coefficient) pairs."""
     f = _elementary_product(N, w)
     indices = range(1, N + 1)
     groups: dict[int, list[XRational]] = {}
@@ -195,15 +216,45 @@ def _engine_monomial(order: int, w: Weight, N: int) -> ZPolynomial:
                         parts.append(term * pair_curvature(N, *vpair))
                 else:
                     parts.append(term)
-    out = ZPolynomial.zero(N - 1)
+    image: dict[Weight, KappaPolynomial] = {}
     for mom, parts in groups.items():
+        context = f"engine order {order}, weight {w}, N={N}, κ power {order - mom}"
         try:
             z = project(divide_exact(xr_sum(parts, N)))
         except (NonPolynomialOutput, NonSymmetricInput) as exc:
-            raise type(exc)(
-                f"engine order {order}, weight {w}, N={N},"
-                f" κ power {order - mom}: {exc}") from exc
-        out = out + z.scale(kr(2 ** mom, N ** mom) * kappa() ** (order - mom))
+            raise type(exc)(f"{context}: {exc}") from exc
+        grade = KappaPolynomial([0] * (order - mom) + [Fraction(2 ** mom, N ** mom)])
+        for v, c in z.terms.items():
+            _add_term(image, v, _numerator(c, context) * grade)
+    return tuple(image.items())
+
+
+def _split(p: ZPolynomial) -> tuple[Numerators, KappaPolynomial]:
+    """p's coefficients as numerators over D, the lcm of their denominators."""
+    dens = {c.den for c in p.terms.values()}
+    D = _ONE
+    for d in dens:
+        if d != _ONE and d != D:
+            D = D * d.exact_div(KappaPolynomial.gcd(D, d))
+    if D is _ONE:
+        return {w: c.num for w, c in p.terms.items()}, D
+    cofactors = {d: D.exact_div(d) for d in dens}
+    return {w: c.num * cofactors[c.den] for w, c in p.terms.items()}, D
+
+
+def _rebuild(rank: int, nums: Numerators, D: KappaPolynomial) -> ZPolynomial:
+    """The z-polynomial with coefficients nums[w] / D (no gcd when D is 1)."""
+    return ZPolynomial._raw(rank, {w: KappaRational(n, D) for w, n in nums.items()})
+
+
+def _integral(order: int, nums: Numerators, N: int) -> Numerators:
+    """The order-j integral on numerators over a common denominator."""
+    out: Numerators = {}
+    for w, c in nums.items():
+        for v, e in _engine_monomial(order, w, N):
+            _add_term(out, v, c * e)
+    if order == 2:
+        out = {w: -c for w, c in out.items()}
     return out
 
 
@@ -221,18 +272,8 @@ def apply_integral(order: int, p: ZPolynomial, N: Optional[int] = None) -> ZPoly
         raise RankMismatch(f"rank {p.rank} polynomial with N={N}")
     if N < order:
         raise ValueError(f"order {order} needs at least {order} particles, got {N}")
-    rank = p.rank
-    out = ZPolynomial.zero(rank)
-    for w, c in p.terms.items():
-        out = out + _engine_monomial(order, w, N).scale(c)
-    # semantic normal ordering: subtract the purely multiplicative action
-    one_action = _engine_monomial(order, (0,) * rank, N)
-    if not one_action.is_zero:
-        c0 = one_action.coefficient((0,) * rank)
-        out = out - p.scale(c0)
-    if order == 2:
-        out = -out
-    return out
+    nums, D = _split(p)
+    return _rebuild(p.rank, _integral(order, nums, N), D)
 
 
 # ---------------------------------------------------------------------------
@@ -365,23 +406,56 @@ def calibrate(N: int) -> Calibration:
         base = apply_integral(j, ZPolynomial.variable(rank, 1), N)
         if set(base.terms) != {e1_w}:
             raise ConventionMismatch(
-                f"order {j} does not act diagonally on z_1")
+                f"order {j} does not act diagonally on z_1 at N={N}")
         lam = base.coefficient(e1_w)
         target = gg.l_elementary(e1_w, N, j)
         scale_val = (target - offset) / lam
         if not scale_val.is_constant:
             raise ConventionMismatch(
-                f"order {j} scale is not a rational constant: {scale_val!r}")
+                f"order {j} scale at N={N} is not a rational constant: {scale_val!r}")
         scale = Fraction(scale_val.constant_value())
         for w, vec in zip(weights, vectors):
             lhs = apply_integral(j, vec, N).scale(kr(scale)) + vec.scale(offset)
             rhs = vec.scale(gg.l_elementary(w, N, j))
             if lhs != rhs:
                 raise ConventionMismatch(
-                    f"order {j} calibration fails on weight {w}")
+                    f"order {j} calibration fails on weight {w} at N={N}")
         scales[j] = scale
         offsets[j] = offset
     return Calibration(N, scales, offsets)
+
+
+def _delta(nums: Numerators, N: int) -> list[Numerators]:
+    """The coefficients of t^0 .. t^N of the characteristic operator, on
+    numerators over a common denominator."""
+    cal = calibrate(N)
+    coeffs: list[Numerators] = [{} for _ in range(N + 1)]
+    coeffs[N] = nums
+    for j in range(2, N + 1):
+        sign = (-1) ** j
+        offset = _numerator(cal.offsets[j], f"calibration order {j}, N={N}").scale(sign)
+        oj: Numerators = {}
+        for w, c in _integral(j, nums, N).items():
+            _add_term(oj, w, c.scale(cal.scales[j] * sign))
+        for w, c in nums.items():
+            _add_term(oj, w, c * offset)
+        coeffs[N - j] = oj
+    return coeffs
+
+
+def _delta_at(nums: Numerators, D: KappaPolynomial, N: int,
+              t: KappaRational) -> tuple[Numerators, KappaPolynomial]:
+    """Δ(t) for t = a/b on numerators over D: the numerators
+    sum_k coeff_k * a^k * b^(N-k) over the denominator D * b^N."""
+    a, b = t.num, t.den
+    out: Numerators = {}
+    a_power = _ONE
+    for k, coeff in enumerate(_delta(nums, N)):
+        factor = a_power * b ** (N - k)
+        for w, c in coeff.items():
+            _add_term(out, w, c * factor)
+        a_power = a_power * a
+    return out, (D if b == _ONE else D * b ** N)
 
 
 def char_apply(p: ZPolynomial, N: int, t: Optional[KappaRational] = None):
@@ -392,26 +466,13 @@ def char_apply(p: ZPolynomial, N: int, t: Optional[KappaRational] = None):
     z-polynomial.  On an eigenpolynomial the result factorizes as the product
     of (t - spectral component) times the polynomial.
     """
-    cal = calibrate(N)
     rank = N - 1
     if p.rank != rank:
         raise RankMismatch(f"rank {p.rank} polynomial with N={N}")
-    coeffs: list[ZPolynomial] = [ZPolynomial.zero(rank) for _ in range(N + 1)]
-    coeffs[N] = p
-    for j in range(2, N + 1):
-        oj = apply_integral(j, p, N).scale(kr(cal.scales[j])) + p.scale(cal.offsets[j])
-        if j % 2:
-            oj = -oj
-        coeffs[N - j] = oj
+    nums, D = _split(p)
     if t is None:
-        return coeffs
-    out = ZPolynomial.zero(rank)
-    power = KappaRational.one()
-    for c in coeffs:
-        if not c.is_zero:
-            out = out + c.scale(power)
-        power = power * t
-    return out
+        return [_rebuild(rank, c, D) for c in _delta(nums, N)]
+    return _rebuild(rank, *_delta_at(nums, D, N, _coerce_scalar(t)))
 
 
 # ---------------------------------------------------------------------------

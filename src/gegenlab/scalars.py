@@ -483,27 +483,9 @@ _KR_ONE = KappaRational._raw(_KP_ONE, _KP_ONE)
 
 # -- spec-level operation surface ------------------------------------------
 
-def kr_normalize(num: KappaPolynomial, den: KappaPolynomial) -> KappaRational:
-    """Canonical reduced form of num/den."""
-    return KappaRational(num, den)
-
-
 def kr_eval(r: KappaRational, kappa0: int | Fraction):
     """Exact substitution κ -> kappa0; raises KappaPole at a denominator zero."""
     return r(Fraction(kappa0))
-
-
-def kr_arith(a: KappaRational, b: KappaRational, op: str) -> KappaRational:
-    """Field arithmetic dispatch for op in '+', '-', '*', '/'."""
-    if op == "+":
-        return a + b
-    if op == "-":
-        return a - b
-    if op == "*":
-        return a * b
-    if op == "/":
-        return a / b
-    raise ValueError(f"unknown operation {op!r}")
 
 
 def kappa() -> KappaRational:

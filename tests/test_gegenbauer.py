@@ -17,6 +17,7 @@ from gegenlab import gegenbauer, integrals, symfun
 from gegenlab.symfun import ZPolynomial, dominated_weights
 from gegenlab.integrals import apply_integral, calibrate
 from gegenlab.gegenbauer import (
+    DecompositionError,
     ShiftNotTabulated,
     char_eigenvalue,
     epsilon2,
@@ -304,6 +305,23 @@ class TestStep:
         P, sigma = step((0, 0, 0), (1, 0, 0), 4)
         assert P == ZPolynomial.variable(3, 1)
         assert sigma == kr(-96) * kappa() ** 3
+
+    def test_perturbed_target_is_caught(self, monkeypatch):
+        # the cross-multiplied proportionality check sees one wrong
+        # coefficient of the target polynomial
+        honest = gegenbauer.gen_eigen
+
+        def perturbed(w, N=None, kappa=None):
+            p = honest(w, N, kappa)
+            if tuple(w) != (2, 1):
+                return p
+            return p + ZPolynomial.monomial(2, (1, 0), kr(1, 7))
+
+        monkeypatch.setattr(gegenbauer, "gen_eigen", perturbed)
+        with pytest.raises(DecompositionError) as err:
+            step((1, 1), (1, 0), 3)
+        for part in ("shift (1, 0)", "at (1, 1)", "N=3"):
+            assert part in str(err.value)
 
     def test_untabulated_shift(self):
         with pytest.raises(ShiftNotTabulated):

@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gegenlab import integrals
+from gegenlab import gegenbauer, integrals
 from gegenlab.scalars import (
     KappaPolynomial,
     KappaRational,
@@ -260,6 +260,47 @@ class TestEngineProperty:
         assert apply_integral(order, p, N) == transcribed_operator(N, order).apply(p)
 
 
+# distinct κ-denominators, so that a drawn polynomial has a nontrivial
+# common denominator
+_DENOMINATORS = (kr(1), lin(1, 2), lin(2, 1), lin(1, 1) * lin(1, 3), kr(3))
+
+
+@st.composite
+def _fraction_case(draw, pairs, degree=5):
+    N, order = draw(st.sampled_from(pairs))
+    weights = draw(st.lists(st.sampled_from(_z_monomial_weights(N - 1, degree)),
+                            min_size=1, max_size=3, unique=True))
+    small = st.integers(-3, 3)
+    coeffs = {w: (lin(draw(small.filter(bool)), draw(small))
+                  / draw(st.sampled_from(_DENOMINATORS))) for w in weights}
+    return N, order, ZPolynomial(N - 1, coeffs)
+
+
+class TestCommonDenominatorProperty:
+    """The integrals and the characteristic operator act on numerators over
+    one common κ-denominator; drawn coefficients carry distinct ones."""
+
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(_fraction_case([(3, 2), (3, 3), (4, 2)]))
+    def test_engine_equals_transcription(self, case):
+        N, order, p = case
+        assert apply_integral(order, p, N) == transcribed_operator(N, order).apply(p)
+
+    @settings(max_examples=25, deadline=None, database=None)
+    # at N = 4 the degree stays <= 3: the order-4 engine images of degree 5
+    # would cost seconds cold
+    @given(st.one_of(_fraction_case([(3, 2)]), _fraction_case([(4, 2)], 3)),
+           st.integers(-3, 3), st.integers(-3, 3))
+    def test_numeric_t_equals_symbolic_sum(self, case, a, b):
+        N, _, p = case
+        coeffs = char_apply(p, N)
+        for t in (lin(a, b), lin(1, 2) / kr(3), lin(1, 2) / lin(2, 1)):
+            expected = ZPolynomial.zero(N - 1)
+            for k, c in enumerate(coeffs):
+                expected = expected + c.scale(t ** k)
+            assert char_apply(p, N, t) == expected
+
+
 class TestTranscription:
     def test_a2_order2_on_z2(self):
         op = transcribed_operator(3, 2)
@@ -323,6 +364,14 @@ class TestCalibration:
         # e_2 of the vacuum spectral vector (3k, k, -k, -3k) is -10k^2
         cal = calibrate(4)
         assert cal.offsets[2] == kr(-10) * kappa() ** 2
+
+    def test_mismatch_names_particle_number(self, monkeypatch):
+        honest = gegenbauer.l_elementary
+        monkeypatch.setattr(gegenbauer, "l_elementary", lambda m, N, j: (
+            honest(m, N, j) + (kr(1) if m == (1, 1) else kr(0))))
+        with pytest.raises(integrals.ConventionMismatch) as err:
+            calibrate.__wrapped__(3)
+        assert "weight (1, 1)" in str(err.value) and "N=3" in str(err.value)
 
     def test_scales_are_rational_constants(self):
         cal = calibrate(4)
