@@ -69,23 +69,28 @@ def _emit_poly(p: ZPolynomial, weight, fmt: str) -> str:
     return ser.zpoly_text(p)
 
 
+def _cached(cache_dir, rank: int, weight):
+    """The cached polynomial for the weight, or None; an entry that cannot
+    be used is reported on stderr and ignored."""
+    if not cache_dir:
+        return None
+    cached, reason = ser.cache_read(cache_dir, rank, weight)
+    if cached is None and reason != "miss":
+        print(f"warning: cache entry for {weight} ignored ({reason})",
+              file=sys.stderr)
+    return cached
+
+
 def cmd_gen(args) -> int:
     weight = _parse_weight(args.weight, args.rank)
     kappa0 = _parse_kappa(args.kappa)
-    if args.method == "recurrence" and args.rank not in (2, 3):
-        raise UsageError("recurrence method needs rank 2 or 3")
     N = args.rank + 1
+    if args.method == "recurrence":
+        ig.covered(gg.RECURRENCE_ROWS, N, "recurrence method")
     cache_dir = ser.resolve_cache_dir(args.cache)
     t0 = time.perf_counter()
-    poly = None
-    source = "generated"
-    if cache_dir and kappa0 is None:
-        cached, reason = ser.cache_read(cache_dir, args.rank, weight)
-        if cached is not None:
-            poly, source = cached, "cache hit"
-        elif reason not in ("miss",):
-            print(f"warning: cache entry for {weight} ignored ({reason})",
-                  file=sys.stderr)
+    poly = _cached(cache_dir, args.rank, weight) if kappa0 is None else None
+    source = "generated" if poly is None else "cache hit"
     if poly is None:
         if args.method == "recurrence":
             poly = gg.gen_recurrence(weight, N)
@@ -130,18 +135,9 @@ def cmd_eval(args) -> int:
     if kappa0 is None:
         raise UsageError("eval needs a numeric coupling (--kappa p/q)")
     point = _parse_point(args.point, args.rank)
-    N = args.rank + 1
-    cache_dir = ser.resolve_cache_dir(args.cache)
-    poly = None
-    if cache_dir:
-        cached, reason = ser.cache_read(cache_dir, args.rank, weight)
-        if cached is not None:
-            poly = cached
-        elif reason not in ("miss",):
-            print(f"warning: cache entry for {weight} ignored ({reason})",
-                  file=sys.stderr)
+    poly = _cached(ser.resolve_cache_dir(args.cache), args.rank, weight)
     if poly is None:
-        poly = gg.gen_eigen(weight, N)
+        poly = gg.gen_eigen(weight, args.rank + 1)
     value = poly.eval(point, kappa0)
     print(value)
     return EXIT_OK
@@ -186,8 +182,7 @@ def _table_rows(args):
 
 
 def cmd_table(args) -> int:
-    if args.rank not in (2, 3):
-        raise UsageError("table needs rank 2 or 3")
+    ig.covered(gg.RECURRENCE_ROWS, args.rank + 1, "table command")
     rows = _table_rows(args)
     if args.format == "json":
         print(json.dumps({k: v for k, v in rows}, indent=2, sort_keys=True))

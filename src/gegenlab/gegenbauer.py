@@ -312,51 +312,41 @@ def recurrence_coefficient(kind: str, args) -> KappaRational:
     raise ValueError(f"unknown coefficient kind {kind!r}")
 
 
-def recurrence_rows(N: int):
-    """Multiplication rules z_r * P_m = sum coeff * P_{m+shift} as a mapping
-    r -> list of (shift, coefficient function of m)."""
-    if N == 3:
-        def row1(m):
-            mm, nn = m
-            return [((1, 0), KappaRational.one()),
-                    ((-1, 1), recurrence_coefficient("c", (mm,))),
-                    ((0, -1), recurrence_coefficient("a", (mm, nn)))]
+def _rc(kind: str, *args: int) -> KappaRational:
+    return recurrence_coefficient(kind, args)
 
-        def row2(m):
-            mm, nn = m
-            return [((0, 1), KappaRational.one()),
-                    ((1, -1), recurrence_coefficient("c", (nn,))),
-                    ((-1, 0), recurrence_coefficient("a", (nn, mm)))]
 
-        return {1: row1, 2: row2}
-    if N == 4:
-        def row1(m):
-            mm, ll, nn = m
-            return [((1, 0, 0), KappaRational.one()),
-                    ((-1, 1, 0), recurrence_coefficient("c", (mm,))),
-                    ((0, -1, 1), recurrence_coefficient("a", (mm, ll))),
-                    ((0, 0, -1), recurrence_coefficient("d", (mm, ll, nn)))]
-
-        def row2(m):
-            # adjusted reading of the z_2 rule: the two order-one mixed terms
-            # target P_{m-1,l,n+1} and P_{m+1,l,n-1} respectively
-            mm, ll, nn = m
-            return [((0, 1, 0), KappaRational.one()),
-                    ((1, -1, 1), recurrence_coefficient("c", (ll,))),
-                    ((-1, 0, 1), recurrence_coefficient("a", (ll, mm))),
-                    ((1, 0, -1), recurrence_coefficient("a", (ll, nn))),
-                    ((-1, 1, -1), recurrence_coefficient("f", (mm, ll, nn))),
-                    ((0, -1, 0), recurrence_coefficient("g", (mm, ll, nn)))]
-
-        def row3(m):
-            mm, ll, nn = m
-            return [((0, 0, 1), KappaRational.one()),
-                    ((0, 1, -1), recurrence_coefficient("c", (nn,))),
-                    ((1, -1, 0), recurrence_coefficient("a", (nn, ll))),
-                    ((-1, 0, 0), recurrence_coefficient("d", (nn, ll, mm)))]
-
-        return {1: row1, 2: row2, 3: row3}
-    raise ValueError(f"recurrence rows available for N in {{3, 4}}, got {N}")
+# Multiplication rules z_r * P_m = sum coeff * P_{m+shift}: N -> r -> the
+# list of (shift, coefficient) as a function of the components of m.  The
+# keys are the particle numbers the recurrence route covers.
+RECURRENCE_ROWS: dict[int, dict[int, Callable[..., list]]] = {
+    3: {
+        1: lambda m, n: [((1, 0), KappaRational.one()),
+                         ((-1, 1), _rc("c", m)),
+                         ((0, -1), _rc("a", m, n))],
+        2: lambda m, n: [((0, 1), KappaRational.one()),
+                         ((1, -1), _rc("c", n)),
+                         ((-1, 0), _rc("a", n, m))],
+    },
+    4: {
+        1: lambda m, l, n: [((1, 0, 0), KappaRational.one()),
+                            ((-1, 1, 0), _rc("c", m)),
+                            ((0, -1, 1), _rc("a", m, l)),
+                            ((0, 0, -1), _rc("d", m, l, n))],
+        # adjusted reading of the z_2 rule: the two order-one mixed terms
+        # target P_{m-1,l,n+1} and P_{m+1,l,n-1} respectively
+        2: lambda m, l, n: [((0, 1, 0), KappaRational.one()),
+                            ((1, -1, 1), _rc("c", l)),
+                            ((-1, 0, 1), _rc("a", l, m)),
+                            ((1, 0, -1), _rc("a", l, n)),
+                            ((-1, 1, -1), _rc("f", m, l, n)),
+                            ((0, -1, 0), _rc("g", m, l, n))],
+        3: lambda m, l, n: [((0, 0, 1), KappaRational.one()),
+                            ((0, 1, -1), _rc("c", n)),
+                            ((1, -1, 0), _rc("a", n, l)),
+                            ((-1, 0, 0), _rc("d", n, l, m))],
+    },
+}
 
 
 # ---------------------------------------------------------------------------
@@ -365,13 +355,12 @@ def recurrence_rows(N: int):
 
 def gen_recurrence(m: Weight, N: Optional[int] = None) -> ZPolynomial:
     """Build P_m from P_0 = 1 by the closed-form multiplication rules,
-    solving each rule for its top term; N in {3, 4}."""
+    solving each rule for its top term; N in RECURRENCE_ROWS."""
     m = tuple(m)
     _require_dominant(m)
     if N is None:
         N = len(m) + 1
-    if N not in (3, 4):
-        raise ValueError(f"recurrence generation supports N in {{3, 4}}, got {N}")
+    _integrals.covered(RECURRENCE_ROWS, N, "recurrence generation")
     if len(m) != N - 1:
         raise ValueError(f"weight {m} has rank {len(m)}, expected {N - 1}")
     return _gen_recurrence_inner(m, N)
@@ -396,7 +385,7 @@ def _gen_recurrence_inner(m: Weight, N: int) -> ZPolynomial:
     base = _gen_recurrence_inner(source, N)
     zr = ZPolynomial.variable(rank, r)
     acc = zr * base
-    for shift, coeff in recurrence_rows(N)[r](source):
+    for shift, coeff in RECURRENCE_ROWS[N][r](*source):
         if shift == top_shift:
             continue
         if coeff.is_zero:
@@ -457,8 +446,7 @@ def step(m: Weight, s: Weight, N: int) -> tuple[ZPolynomial, KappaRational]:
     m = tuple(m)
     s = tuple(s)
     _require_dominant(m)
-    if N not in (3, 4):
-        raise ValueError(f"step operators support N in {{3, 4}}, got {N}")
+    _integrals.covered(_integrals.CALIBRATION_WEIGHT, N, "step operators")
     sign, subset, r = shift_decompose(s, N)
     rank = N - 1
     if sign > 0:
@@ -547,45 +535,40 @@ def _double_norm_inner(m: int, l: int, n: int) -> KappaRational:
                  lin(m + l, 2), lin(l + n, 2))
 
 
-def _rc(kind: str, *args: int) -> KappaRational:
-    return recurrence_coefficient(kind, args)
-
-
-_SIGMA_RANK2: dict[Weight, Callable[[int, int], KappaRational]] = {
-    (1, 0): lambda m, n: -_pair_norm(m, n),
-    (-1, 1): lambda m, n: _pair_norm_mixed(m, n) * _rc("c", m),
-    (0, -1): lambda m, n: -_pair_norm(n, m) * _rc("a", m, n),
-    (-1, 0): lambda m, n: _pair_norm(m, n) * _rc("a", n, m),
-    (1, -1): lambda m, n: -_pair_norm_mixed(m, n) * _rc("c", n),
-    (0, 1): lambda m, n: _pair_norm(n, m),
-}
-
-# The two mixed double shifts carry the same adjusted reading as the z_2
-# multiplication rule: their order-one factors are a(l,n) and a(l,m).
-_SIGMA_RANK3: dict[Weight, Callable[[int, int, int], KappaRational]] = {
-    (1, 0, 0): lambda m, l, n: -_chain_norm(m, l, n),
-    (-1, 1, 0): lambda m, l, n: _chain_norm_mixed(m, l, n) * _rc("c", m),
-    (0, -1, 1): lambda m, l, n: -_chain_norm_mixed(n, l, m) * _rc("a", m, l),
-    (0, 0, -1): lambda m, l, n: _chain_norm(n, l, m) * _rc("d", m, l, n),
-    (0, 0, 1): lambda m, l, n: -_chain_norm(n, l, m),
-    (0, 1, -1): lambda m, l, n: _chain_norm_mixed(n, l, m) * _rc("c", n),
-    (1, -1, 0): lambda m, l, n: -_chain_norm_mixed(m, l, n) * _rc("a", n, l),
-    (-1, 0, 0): lambda m, l, n: _chain_norm(m, l, n) * _rc("d", n, l, m),
-    (0, 1, 0): lambda m, l, n: -_double_norm_adjacent(m, l, n),
-    (1, -1, 1): lambda m, l, n: _double_norm_split(m, l, n) * _rc("c", l),
-    (1, 0, -1): lambda m, l, n: -_double_norm_outer(m, l, n) * _rc("a", l, n),
-    (-1, 0, 1): lambda m, l, n: -_double_norm_inner(m, l, n) * _rc("a", l, m),
-    (-1, 1, -1): lambda m, l, n: _double_norm_split(n, l, m) * _rc("f", m, l, n),
-    (0, -1, 0): lambda m, l, n: -_double_norm_adjacent(n, l, m) * _rc("g", m, l, n),
+# N -> shift -> closed-form step factor as a function of the components of
+# m; the keys are the particle numbers the step tables cover.
+SIGMA_TABLES: dict[int, dict[Weight, Callable[..., KappaRational]]] = {
+    3: {
+        (1, 0): lambda m, n: -_pair_norm(m, n),
+        (-1, 1): lambda m, n: _pair_norm_mixed(m, n) * _rc("c", m),
+        (0, -1): lambda m, n: -_pair_norm(n, m) * _rc("a", m, n),
+        (-1, 0): lambda m, n: _pair_norm(m, n) * _rc("a", n, m),
+        (1, -1): lambda m, n: -_pair_norm_mixed(m, n) * _rc("c", n),
+        (0, 1): lambda m, n: _pair_norm(n, m),
+    },
+    # The two mixed double shifts carry the same adjusted reading as the z_2
+    # multiplication rule: their order-one factors are a(l,n) and a(l,m).
+    4: {
+        (1, 0, 0): lambda m, l, n: -_chain_norm(m, l, n),
+        (-1, 1, 0): lambda m, l, n: _chain_norm_mixed(m, l, n) * _rc("c", m),
+        (0, -1, 1): lambda m, l, n: -_chain_norm_mixed(n, l, m) * _rc("a", m, l),
+        (0, 0, -1): lambda m, l, n: _chain_norm(n, l, m) * _rc("d", m, l, n),
+        (0, 0, 1): lambda m, l, n: -_chain_norm(n, l, m),
+        (0, 1, -1): lambda m, l, n: _chain_norm_mixed(n, l, m) * _rc("c", n),
+        (1, -1, 0): lambda m, l, n: -_chain_norm_mixed(m, l, n) * _rc("a", n, l),
+        (-1, 0, 0): lambda m, l, n: _chain_norm(m, l, n) * _rc("d", n, l, m),
+        (0, 1, 0): lambda m, l, n: -_double_norm_adjacent(m, l, n),
+        (1, -1, 1): lambda m, l, n: _double_norm_split(m, l, n) * _rc("c", l),
+        (1, 0, -1): lambda m, l, n: -_double_norm_outer(m, l, n) * _rc("a", l, n),
+        (-1, 0, 1): lambda m, l, n: -_double_norm_inner(m, l, n) * _rc("a", l, m),
+        (-1, 1, -1): lambda m, l, n: _double_norm_split(n, l, m) * _rc("f", m, l, n),
+        (0, -1, 0): lambda m, l, n: -_double_norm_adjacent(n, l, m) * _rc("g", m, l, n),
+    },
 }
 
 
 def tabulated_shifts(N: int) -> tuple[Weight, ...]:
-    if N == 3:
-        return tuple(_SIGMA_RANK2)
-    if N == 4:
-        return tuple(_SIGMA_RANK3)
-    raise ValueError(f"step tables available for N in {{3, 4}}, got {N}")
+    return tuple(_integrals.covered(SIGMA_TABLES, N, "step tables"))
 
 
 def sigma_closed_form(m: Weight, s: Weight, N: int) -> KappaRational:
@@ -593,13 +576,7 @@ def sigma_closed_form(m: Weight, s: Weight, N: int) -> KappaRational:
     m = tuple(m)
     s = tuple(s)
     _require_dominant(m)
-    if N == 3:
-        table = _SIGMA_RANK2
-    elif N == 4:
-        table = _SIGMA_RANK3
-    else:
-        raise ValueError(f"step tables available for N in {{3, 4}}, got {N}")
-    fn = table.get(s)
+    fn = _integrals.covered(SIGMA_TABLES, N, "step tables").get(s)
     if fn is None:
         raise ShiftNotTabulated(f"shift {s} has no tabulated step operator")
     return fn(*m)

@@ -73,6 +73,21 @@ from .symfun import (
 
 SUPPORTED_ORDERS = (2, 3, 4)
 
+# N -> the fourth eigen-weight on which calibrate checks each integral.  Its
+# keys are the particle numbers whose whole commuting family (orders 2..N)
+# the engine covers: calibration, Δ(t) and the step operators.
+CALIBRATION_WEIGHT = {3: (1, 1), 4: (0, 1, 0)}
+
+
+def covered(table: dict, N: int, family: str):
+    """The entry of a closed-form family's table for N; a ValueError naming
+    the family and N when the family does not cover N."""
+    if N not in table:
+        known = ", ".join(map(str, table))
+        raise ValueError(f"{family}: tabulated for N in {{{known}}},"
+                         f" got N={N} (rank {N - 1})")
+    return table[N]
+
 
 class EngineError(ArithmeticError):
     """Internal consistency failure of the operator engine."""
@@ -315,10 +330,6 @@ class ZOperator:
         return sorted(self.terms, key=lambda t: grlex_key(t[1]), reverse=True)
 
 
-def _zp(rank: int, entries: dict) -> ZPolynomial:
-    return ZPolynomial(rank, entries)
-
-
 def transcribed_operator(N: int, order: int) -> ZOperator:
     """Closed-form z-space operator for the supported (N, order) pairs,
     matching apply_integral's normalization exactly."""
@@ -326,46 +337,46 @@ def transcribed_operator(N: int, order: int) -> ZOperator:
         s = kr(4, 3)
         lin1 = KappaRational(KappaPolynomial.linear(1, 3))  # 1 + 3k
         return ZOperator(2, [
-            (_zp(2, {(2, 0): s, (0, 1): s * kr(-3)}), (2, 0)),
-            (_zp(2, {(0, 2): s, (1, 0): s * kr(-3)}), (0, 2)),
-            (_zp(2, {(1, 1): s, (0, 0): s * kr(-9)}), (1, 1)),
-            (_zp(2, {(1, 0): s * lin1}), (1, 0)),
-            (_zp(2, {(0, 1): s * lin1}), (0, 1)),
+            (ZPolynomial(2, {(2, 0): s, (0, 1): s * kr(-3)}), (2, 0)),
+            (ZPolynomial(2, {(0, 2): s, (1, 0): s * kr(-3)}), (0, 2)),
+            (ZPolynomial(2, {(1, 1): s, (0, 0): s * kr(-9)}), (1, 1)),
+            (ZPolynomial(2, {(1, 0): s * lin1}), (1, 0)),
+            (ZPolynomial(2, {(0, 1): s * lin1}), (0, 1)),
         ])
     if (N, order) == (4, 2):
         h = kr(1, 2)
         lin1 = KappaRational(KappaPolynomial.linear(1, 4))  # 1 + 4k
         return ZOperator(3, [
-            (_zp(3, {(2, 0, 0): h * kr(3), (0, 1, 0): h * kr(-8)}), (2, 0, 0)),
-            (_zp(3, {(0, 0, 2): h * kr(3), (0, 1, 0): h * kr(-8)}), (0, 0, 2)),
-            (_zp(3, {(0, 2, 0): h * kr(4), (1, 0, 1): h * kr(-8),
-                     (0, 0, 0): h * kr(-16)}), (0, 2, 0)),
-            (_zp(3, {(1, 1, 0): h * kr(4), (0, 0, 1): h * kr(-24)}), (1, 1, 0)),
-            (_zp(3, {(0, 1, 1): h * kr(4), (1, 0, 0): h * kr(-24)}), (0, 1, 1)),
-            (_zp(3, {(1, 0, 1): h * kr(2), (0, 0, 0): h * kr(-32)}), (1, 0, 1)),
-            (_zp(3, {(1, 0, 0): h * kr(3) * lin1}), (1, 0, 0)),
-            (_zp(3, {(0, 0, 1): h * kr(3) * lin1}), (0, 0, 1)),
-            (_zp(3, {(0, 1, 0): h * kr(4) * lin1}), (0, 1, 0)),
+            (ZPolynomial(3, {(2, 0, 0): h * kr(3), (0, 1, 0): h * kr(-8)}), (2, 0, 0)),
+            (ZPolynomial(3, {(0, 0, 2): h * kr(3), (0, 1, 0): h * kr(-8)}), (0, 0, 2)),
+            (ZPolynomial(3, {(0, 2, 0): h * kr(4), (1, 0, 1): h * kr(-8),
+                             (0, 0, 0): h * kr(-16)}), (0, 2, 0)),
+            (ZPolynomial(3, {(1, 1, 0): h * kr(4), (0, 0, 1): h * kr(-24)}), (1, 1, 0)),
+            (ZPolynomial(3, {(0, 1, 1): h * kr(4), (1, 0, 0): h * kr(-24)}), (0, 1, 1)),
+            (ZPolynomial(3, {(1, 0, 1): h * kr(2), (0, 0, 0): h * kr(-32)}), (1, 0, 1)),
+            (ZPolynomial(3, {(1, 0, 0): h * kr(3) * lin1}), (1, 0, 0)),
+            (ZPolynomial(3, {(0, 0, 1): h * kr(3) * lin1}), (0, 0, 1)),
+            (ZPolynomial(3, {(0, 1, 0): h * kr(4) * lin1}), (0, 1, 0)),
         ])
     if (N, order) == (3, 3):
         s = kr(8, 27)
         lin2 = KappaRational(KappaPolynomial.linear(2, 3))  # 2 + 3k
         lin1 = KappaRational(KappaPolynomial.linear(1, 3))  # 1 + 3k
         return ZOperator(2, [
-            (_zp(2, {(3, 0): s * kr(2), (1, 1): s * kr(-9),
-                     (0, 0): s * kr(27)}), (3, 0)),
-            (_zp(2, {(2, 1): s * kr(3), (0, 2): s * kr(-18),
-                     (1, 0): s * kr(27)}), (2, 1)),
-            (_zp(2, {(1, 2): s * kr(-3), (2, 0): s * kr(18),
-                     (0, 1): s * kr(-27)}), (1, 2)),
-            (_zp(2, {(0, 3): s * kr(-2), (1, 1): s * kr(9),
-                     (0, 0): s * kr(-27)}), (0, 3)),
-            (_zp(2, {(2, 0): s * kr(3) * lin2,
-                     (0, 1): s * kr(-9) * lin2}), (2, 0)),
-            (_zp(2, {(0, 2): s * kr(-3) * lin2,
-                     (1, 0): s * kr(9) * lin2}), (0, 2)),
-            (_zp(2, {(1, 0): s * lin2 * lin1}), (1, 0)),
-            (_zp(2, {(0, 1): s * kr(-1) * lin2 * lin1}), (0, 1)),
+            (ZPolynomial(2, {(3, 0): s * kr(2), (1, 1): s * kr(-9),
+                             (0, 0): s * kr(27)}), (3, 0)),
+            (ZPolynomial(2, {(2, 1): s * kr(3), (0, 2): s * kr(-18),
+                             (1, 0): s * kr(27)}), (2, 1)),
+            (ZPolynomial(2, {(1, 2): s * kr(-3), (2, 0): s * kr(18),
+                             (0, 1): s * kr(-27)}), (1, 2)),
+            (ZPolynomial(2, {(0, 3): s * kr(-2), (1, 1): s * kr(9),
+                             (0, 0): s * kr(-27)}), (0, 3)),
+            (ZPolynomial(2, {(2, 0): s * kr(3) * lin2,
+                             (0, 1): s * kr(-9) * lin2}), (2, 0)),
+            (ZPolynomial(2, {(0, 2): s * kr(-3) * lin2,
+                             (1, 0): s * kr(9) * lin2}), (0, 2)),
+            (ZPolynomial(2, {(1, 0): s * lin2 * lin1}), (1, 0)),
+            (ZPolynomial(2, {(0, 1): s * kr(-1) * lin2 * lin1}), (0, 1)),
         ])
     raise ValueError(f"no transcribed operator for N={N}, order={order}")
 
@@ -386,16 +397,14 @@ class Calibration:
 @functools.lru_cache(maxsize=None)
 def calibrate(N: int) -> Calibration:
     """Fix (scale_j, offset_j) for j = 2..N on known eigenpolynomials and
-    verify on a fourth one; N in {3, 4}."""
-    if N not in (3, 4):
-        raise ValueError(f"calibration supports N in {{3, 4}}, got {N}")
+    verify on a fourth one, CALIBRATION_WEIGHT[N]."""
+    extra_w = covered(CALIBRATION_WEIGHT, N, "calibration")
     from . import gegenbauer as gg
 
     rank = N - 1
     zero_w = (0,) * rank
     e1_w = tuple(1 if i == 0 else 0 for i in range(rank))
     en_w = tuple(1 if i == rank - 1 else 0 for i in range(rank))
-    extra_w = (1, 1) if N == 3 else (0, 1, 0)
     vectors = [gg.gen_eigen(w, N) for w in (e1_w, en_w, extra_w)]
     weights = [e1_w, en_w, extra_w]
 

@@ -168,7 +168,7 @@ def _zpoly_render(p: ZPolynomial, latex: bool, symbol: str) -> str:
     if p.is_zero:
         return "0"
     pieces = []
-    for w, c in p.sorted_terms("dominance"):
+    for w, c in p.sorted_terms():
         sign = _leading_sign(c)
         mag = _abs_kr(c)
         mono = _mono_str(w, latex)

@@ -219,9 +219,11 @@ class ZPolynomial:
             raise ValueError("zero polynomial has no leading weight")
         return max(self.terms, key=dominance_key)
 
-    def sorted_terms(self, order: str = "grlex"):
-        key = grlex_key if order == "grlex" else dominance_key
-        return sorted(self.terms.items(), key=lambda t: key(t[0]), reverse=True)
+    def sorted_terms(self):
+        """The (weight, coefficient) pairs, leading weight first in the
+        dominance-compatible order."""
+        return sorted(self.terms.items(), key=lambda t: dominance_key(t[0]),
+                      reverse=True)
 
     # -- arithmetic --------------------------------------------------------
     def _check(self, other: "ZPolynomial"):
@@ -307,7 +309,7 @@ class ZPolynomial:
     def __repr__(self):
         if not self.terms:
             return "ZPolynomial(0)"
-        bits = [f"{c!r}*z^{w}" for w, c in self.sorted_terms("dominance")]
+        bits = [f"{c!r}*z^{w}" for w, c in self.sorted_terms()]
         return " + ".join(bits)
 
 

@@ -14,11 +14,13 @@ kappa1       all recurrence coefficients collapse to 1 at coupling 1
 """
 from __future__ import annotations
 
+import functools
+import inspect
 import itertools
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional
+from typing import Callable, Optional
 
 from .scalars import KappaRational, kr, lin
 from .symfun import ZPolynomial, weighted_degree
@@ -48,7 +50,8 @@ class VerificationReport:
 
     @property
     def passed(self) -> bool:
-        return all(c.ok for c in self.checks)
+        """A report passes when it has checks and every one passes."""
+        return bool(self.checks) and all(c.ok for c in self.checks)
 
     @property
     def counts(self) -> tuple[int, int]:
@@ -98,20 +101,72 @@ def _weights(rank: int, total: int):
 
 
 # ---------------------------------------------------------------------------
+# the suite table
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Suite:
+    """One row of the suite table: the suite's function, the ranks
+    `--suite all` runs it at, and the default of its bound by rank (key
+    None: every other rank)."""
+    run: Callable[..., VerificationReport]
+    ranks: tuple
+    defaults: dict
+
+
+SUITE_TABLE: dict[str, Suite] = {}
+
+
+def _suite(ranks, defaults=None):
+    """Decorator for a suite body that yields its checks: the decorated name
+    becomes a function that builds, times and names the report, entered in
+    SUITE_TABLE under the name without ``suite_``."""
+    def enter(body):
+        name = body.__name__.removeprefix("suite_")
+
+        @functools.wraps(body)
+        def run(*args, **kwargs) -> VerificationReport:
+            t0 = time.perf_counter()
+            rep = VerificationReport(name, list(body(*args, **kwargs)))
+            rep.elapsed = time.perf_counter() - t0
+            return rep
+
+        SUITE_TABLE[name] = Suite(run, tuple(ranks), defaults or {})
+        return run
+    return enter
+
+
+def _default(suite: str, rank: int, bound: Optional[int]) -> int:
+    """The given bound, or the suite's default at this rank."""
+    if bound is not None:
+        return bound
+    defaults = SUITE_TABLE[suite].defaults
+    return defaults.get(rank, defaults.get(None))
+
+
+def _ranks(table: dict) -> tuple[int, ...]:
+    """The ranks of a closed-form family's table keyed by N."""
+    return tuple(N - 1 for N in table)
+
+
+# default component-sum bound of the eigen and recurrence suites by rank
+_DEGREE = {2: 6, 3: 4, None: 2}
+
+
+# ---------------------------------------------------------------------------
 # individual suites
 # ---------------------------------------------------------------------------
 
+@_suite(ranks=(3,))
 def suite_appendix(rank: int = 3) -> VerificationReport:
     """Every bundled golden polynomial must be reproduced exactly by the
     eigen route; a mismatch is adjudicated by the eigen equation."""
-    t0 = time.perf_counter()
-    rep = VerificationReport("appendix")
     N = rank + 1
     for w, golden in load_golden(rank):
         generated = _gg.gen_eigen(w, N)
         name = f"P_{','.join(map(str, w))}"
         if generated == golden:
-            rep.checks.append(CheckResult(name, "pass"))
+            yield CheckResult(name, "pass")
             continue
         eps = KappaRational(_gg.epsilon2(w, N))
         golden_ok = _integrals.apply_integral(2, golden, N) == golden.scale(eps)
@@ -121,13 +176,11 @@ def suite_appendix(rank: int = 3) -> VerificationReport:
                    "bundled form satisfies the eigen equation"
                    if golden_ok and not gen_ok else
                    "eigen adjudication inconclusive")
-        rep.checks.append(CheckResult(
+        yield CheckResult(
             name, "adjudicated",
             detail=verdict,
             expected=zpoly_text(golden),
-            actual=zpoly_text(generated)))
-    rep.elapsed = time.perf_counter() - t0
-    return rep
+            actual=zpoly_text(generated))
 
 
 def _leading_structure_checks(N: int) -> list[CheckResult]:
@@ -159,177 +212,135 @@ def _leading_structure_checks(N: int) -> list[CheckResult]:
     return checks
 
 
+@_suite(ranks=_ranks(_integrals.CALIBRATION_WEIGHT), defaults=_DEGREE)
 def suite_eigen(rank: int = 2, max_degree: Optional[int] = None) -> VerificationReport:
-    t0 = time.perf_counter()
-    rep = VerificationReport("eigen")
     N = rank + 1
-    if max_degree is None:
-        max_degree = {2: 6, 3: 4}.get(rank, 2)
-    for w in _weights(rank, max_degree):
+    for w in _weights(rank, _default("eigen", rank, max_degree)):
         P = _gg.gen_eigen(w, N)
         eps = KappaRational(_gg.epsilon2(w, N))
         ok = _integrals.apply_integral(2, P, N) == P.scale(eps)
-        rep.checks.append(CheckResult(
+        yield CheckResult(
             f"eigen equation at {w}", "pass" if ok else "fail",
-            expected=f"eigenvalue {eps!r}"))
-    rep.checks.extend(_leading_structure_checks(N))
-    rep.elapsed = time.perf_counter() - t0
-    return rep
+            expected=f"eigenvalue {eps!r}")
+    yield from _leading_structure_checks(N)
 
 
+@_suite(ranks=_ranks(_gg.RECURRENCE_ROWS), defaults=_DEGREE)
 def suite_recurrence(rank: int = 2, max_degree: Optional[int] = None) -> VerificationReport:
-    t0 = time.perf_counter()
-    rep = VerificationReport("recurrence")
-    if rank not in (2, 3):
-        raise ValueError("recurrence suite needs rank 2 or 3")
     N = rank + 1
-    if max_degree is None:
-        max_degree = {2: 6, 3: 4}[rank]
-    for w in _weights(rank, max_degree):
+    _integrals.covered(_gg.RECURRENCE_ROWS, N, "recurrence suite")
+    for w in _weights(rank, _default("recurrence", rank, max_degree)):
         a = _gg.gen_recurrence(w, N)
         b = _gg.gen_eigen(w, N)
-        rep.checks.append(CheckResult(
+        yield CheckResult(
             f"route agreement at {w}", "pass" if a == b else "fail",
-            expected=zpoly_text(b), actual=zpoly_text(a)))
-    rep.elapsed = time.perf_counter() - t0
-    return rep
+            expected=zpoly_text(b), actual=zpoly_text(a))
 
 
+@_suite(ranks=_ranks(_integrals.CALIBRATION_WEIGHT))
 def suite_commutators(rank: int = 2, max_degree: int = 4) -> VerificationReport:
-    t0 = time.perf_counter()
-    rep = VerificationReport("commutators")
     N = rank + 1
-    pairs = [(2, 3)] if N == 3 else [(2, 3), (2, 4), (3, 4)] if N == 4 else None
-    if pairs is None:
-        raise ValueError("commutator suite needs rank 2 or 3")
-    for j, k in pairs:
+    _integrals.covered(_integrals.CALIBRATION_WEIGHT, N, "commutator suite")
+    for j, k in itertools.combinations(range(2, N + 1), 2):
         r = _integrals.commutator_residual(j, k, N, max_degree)
-        rep.checks.append(CheckResult(
+        yield CheckResult(
             f"[order {j}, order {k}] on degree <= {max_degree} (N={N})",
             "pass" if r.is_zero else "fail",
             detail=f"{r.checked} monomials"
-                   + ("" if r.is_zero else f", residual terms on {r.failures}")))
-    rep.elapsed = time.perf_counter() - t0
-    return rep
+                   + ("" if r.is_zero else f", residual terms on {r.failures}"))
 
 
+@_suite(ranks=_ranks(_gg.SIGMA_TABLES), defaults={2: 2, None: 1})
 def suite_sigma(rank: int = 2, max_components: Optional[int] = None) -> VerificationReport:
-    t0 = time.perf_counter()
-    rep = VerificationReport("sigma")
-    if rank not in (2, 3):
-        raise ValueError("sigma suite needs rank 2 or 3")
     N = rank + 1
-    if max_components is None:
-        max_components = 2 if rank == 2 else 1
-    weights = list(itertools.product(range(max_components + 1), repeat=rank))
-    for m in weights:
-        for s in _gg.tabulated_shifts(N):
+    shifts = _gg.tabulated_shifts(N)
+    bound = _default("sigma", rank, max_components)
+    for m in itertools.product(range(bound + 1), repeat=rank):
+        for s in shifts:
             _, sigma = _gg.step(m, s, N)
             closed = _gg.sigma_closed_form(m, s, N)
             target = tuple(a + b for a, b in zip(m, s))
             valid = all(e >= 0 for e in target)
             ok = sigma == closed and (valid or sigma.is_zero)
-            rep.checks.append(CheckResult(
+            yield CheckResult(
                 f"sigma at m={m}, shift={s}", "pass" if ok else "fail",
-                expected=repr(closed), actual=repr(sigma)))
-    rep.elapsed = time.perf_counter() - t0
-    return rep
+                expected=repr(closed), actual=repr(sigma))
 
 
 def _reverse(w):
     return tuple(reversed(w))
 
 
+@_suite(ranks=_ranks(_gg.RECURRENCE_ROWS))
 def suite_duality(rank: int = 2, max_degree: int = 2) -> VerificationReport:
     """Multiplication tables for z_r and z_{N-r} agree under the
     diagram flip (complementary-index coefficients)."""
-    t0 = time.perf_counter()
-    rep = VerificationReport("duality")
-    if rank not in (2, 3):
-        raise ValueError("duality suite needs rank 2 or 3")
     N = rank + 1
+    _integrals.covered(_gg.RECURRENCE_ROWS, N, "duality suite")
     for m in _weights(rank, max_degree):
         for r in range(1, rank + 1):
             table = _gg.expand_product(r, m, N)
             dual = _gg.expand_product(N - r, _reverse(m), N)
             ok = all(dual.get(_reverse(s)) == c for s, c in table.items())
-            rep.checks.append(CheckResult(
+            yield CheckResult(
                 f"z_{r} table at {m} vs z_{N - r} at {_reverse(m)}",
-                "pass" if ok else "fail"))
-    rep.elapsed = time.perf_counter() - t0
-    return rep
+                "pass" if ok else "fail")
 
 
+@_suite(ranks=(None,))
 def suite_kappa1() -> VerificationReport:
     """At coupling 1 every recurrence coefficient with a nonzero leading
     index factor is exactly 1 (and exactly 0 otherwise)."""
-    t0 = time.perf_counter()
-    rep = VerificationReport("kappa1")
     one = Fraction(1)
 
     def check(kind, args, should_vanish):
-        val = _gg.recurrence_coefficient(kind, args)
-        got = val(one)
+        got = _gg.recurrence_coefficient(kind, args)(one)
         want = 0 if should_vanish else 1
-        rep.checks.append(CheckResult(
+        return CheckResult(
             f"{kind}{args} at coupling 1", "pass" if got == want else "fail",
-            expected=str(want), actual=str(got)))
+            expected=str(want), actual=str(got))
 
     for m in range(5):
-        check("c", (m,), m == 0)
+        yield check("c", (m,), m == 0)
     for p in range(4):
         for q in range(4):
-            check("a", (p, q), q == 0)
+            yield check("a", (p, q), q == 0)
     for m in range(3):
         for l in range(3):
             for n in range(3):
-                check("d", (m, l, n), n == 0)
-                check("f", (m, l, n), m == 0 or n == 0)
-                check("g", (m, l, n), l == 0)
-    rep.elapsed = time.perf_counter() - t0
-    return rep
+                yield check("d", (m, l, n), n == 0)
+                yield check("f", (m, l, n), m == 0 or n == 0)
+                yield check("g", (m, l, n), l == 0)
 
 
 # ---------------------------------------------------------------------------
 # dispatch
 # ---------------------------------------------------------------------------
 
-SUITES = ("appendix", "eigen", "recurrence", "commutators",
-          "sigma", "duality", "kappa1", "all")
+SUITES = (*SUITE_TABLE, "all")
 
 
 def run_suite(name: str, rank: Optional[int] = None,
               max_degree: Optional[int] = None,
               max_components: Optional[int] = None) -> list[VerificationReport]:
-    if name == "appendix":
-        return [suite_appendix(rank if rank is not None else 3)]
-    if name == "eigen":
-        return [suite_eigen(rank if rank is not None else 2, max_degree)]
-    if name == "recurrence":
-        return [suite_recurrence(rank if rank is not None else 2, max_degree)]
-    if name == "commutators":
-        return [suite_commutators(rank if rank is not None else 2,
-                                  max_degree if max_degree is not None else 4)]
-    if name == "sigma":
-        return [suite_sigma(rank if rank is not None else 2, max_components)]
-    if name == "duality":
-        return [suite_duality(rank if rank is not None else 2,
-                              max_degree if max_degree is not None else 2)]
-    if name == "kappa1":
-        return [suite_kappa1()]
+    """Run one suite, or with "all" every suite at each of its ranks.  The
+    given bounds reach every suite that takes them; a negative bound, which
+    leaves a suite nothing to check, is a ValueError."""
+    given = {"max_degree": max_degree, "max_components": max_components}
+    for option, bound in given.items():
+        if bound is not None and bound < 0:
+            raise ValueError(f"negative bound {option}={bound} leaves a suite"
+                             " nothing to check")
     if name == "all":
-        out = []
-        out.append(suite_appendix(3))
-        out.append(suite_eigen(2, max_degree))
-        out.append(suite_eigen(3, max_degree))
-        out.append(suite_recurrence(2, max_degree))
-        out.append(suite_recurrence(3, max_degree))
-        out.append(suite_commutators(2, 4))
-        out.append(suite_commutators(3, 4))
-        out.append(suite_sigma(2, max_components))
-        out.append(suite_sigma(3, max_components))
-        out.append(suite_duality(2))
-        out.append(suite_duality(3))
-        out.append(suite_kappa1())
-        return out
-    raise ValueError(f"unknown suite {name!r}")
+        runs = [(suite, r) for suite in SUITE_TABLE.values() for r in suite.ranks]
+    elif name in SUITE_TABLE:
+        runs = [(SUITE_TABLE[name], rank)]
+    else:
+        raise ValueError(f"unknown suite {name!r}")
+    reports = []
+    for suite, r in runs:
+        takes = inspect.signature(suite.run).parameters
+        kwargs = {k: v for k, v in dict(given, rank=r).items()
+                  if v is not None and k in takes}
+        reports.append(suite.run(**kwargs))
+    return reports

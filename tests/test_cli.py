@@ -198,6 +198,16 @@ class TestEval:
                               "--kappa", "1", "--point", "2,0,1"], capsys)
         assert rc == 0 and out.strip() == "1"
 
+    def test_corrupt_cache_entry_ignored(self, tmp_path, capsys):
+        path = cache_write(tmp_path, (1, 0, 1), gen_eigen((1, 0, 1), 4))
+        path.write_text(path.read_text().replace('"terms"', '"tersm"', 1))
+        rc, out, err = run_cli(["eval", "--rank", "3", "--weight", "1,0,1",
+                                "--kappa", "1", "--point", "2,0,1",
+                                "--cache", str(tmp_path)], capsys)
+        assert rc == 0 and out.strip() == "1"
+        assert "ignored" in err
+        assert cache_read(tmp_path, 3, (1, 0, 1)) == (None, "corrupt")
+
     def test_pole_exit_code(self, capsys):
         rc, _, err = run_cli(["eval", "--rank", "3", "--weight", "2,0,0",
                               "--kappa", "-1", "--point", "1,1,1"], capsys)
@@ -246,6 +256,49 @@ class TestVerifyCommand:
         for check in report.checks:
             assert check.actual in ("0", "1"), check
             assert check.actual == check.expected
+
+
+class TestRankCoverage:
+    """The closed-form families cover ranks 2 and 3; elsewhere the commands
+    that need them are usage errors."""
+
+    @pytest.mark.parametrize("rank", [1, 4])
+    @pytest.mark.parametrize("args", [
+        ["gen", "--method", "recurrence"],
+        ["table", "--kind", "recurrence"],
+        ["table", "--kind", "sigma"],
+        ["table", "--kind", "lvector"],
+        ["verify", "--suite", "recurrence"],
+        ["verify", "--suite", "commutators"],
+        ["verify", "--suite", "sigma"],
+        ["verify", "--suite", "duality"],
+    ])
+    def test_outside_ranks_two_and_three(self, args, rank, capsys):
+        weight = ["--weight", ",".join(["1"] + ["0"] * (rank - 1))]
+        rc, out, err = run_cli(args + ["--rank", str(rank)]
+                               + (weight if args[0] == "gen" else []), capsys)
+        assert rc == 2 and not out and err.startswith("error:")
+
+    @pytest.mark.parametrize("rank", [1, 4])
+    def test_eigen_suite_at_any_rank(self, rank, capsys):
+        rc, out, _ = run_cli(["verify", "--suite", "eigen", "--rank", str(rank)],
+                             capsys)
+        assert rc == 0 and "suite eigen" in out
+
+
+class TestEmptySuite:
+    """A bound that leaves a suite nothing to check is a usage error."""
+
+    @pytest.mark.parametrize("args", [
+        ["--suite", "sigma", "--max-components", "-1"],
+        ["--suite", "recurrence", "--max-degree", "-1"],
+        ["--suite", "duality", "--max-degree", "-1"],
+        ["--suite", "commutators", "--max-degree", "-3"],
+    ])
+    def test_negative_bound(self, args, capsys):
+        rc, out, err = run_cli(["verify"] + args, capsys)
+        assert rc == 2 and "pass" not in out
+        assert "negative" in err
 
 
 class TestGolden:

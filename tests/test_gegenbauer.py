@@ -352,6 +352,37 @@ class TestSigmaClosedForm:
                 assert sigma == sigma_closed_form(m, s, 3)
 
 
+def _family_calls(N):
+    """One call per closed-form family at particle number N."""
+    rank = N - 1
+    vacuum = (0,) * rank
+    raise_first = (1,) + (0,) * (rank - 1)
+    return {
+        "gen_recurrence": lambda: gen_recurrence(vacuum, N),
+        "calibrate": lambda: calibrate(N),
+        "char_apply": lambda: integrals.char_apply(ZPolynomial.one(rank), N),
+        "step": lambda: step(vacuum, raise_first, N),
+        "tabulated_shifts": lambda: tabulated_shifts(N),
+        "sigma_closed_form": lambda: sigma_closed_form(vacuum, raise_first, N),
+    }
+
+
+class TestFamilyCoverage:
+    """Each closed-form family covers exactly N = 3 and 4."""
+
+    @pytest.mark.parametrize("N", [2, 3, 4, 5])
+    @pytest.mark.parametrize("family", sorted(_family_calls(3)))
+    def test_covers_exactly_three_and_four(self, family, N):
+        call = _family_calls(N)[family]
+        if N in (3, 4):
+            call()
+            return
+        with pytest.raises(ValueError) as err:
+            call()
+        assert err.type is ValueError
+        assert f"N={N}" in str(err.value) or f"got {N}" in str(err.value)
+
+
 def _cached_functions():
     """Every memoized function of the symfun, integrals and gegenbauer
     modules, by name."""
