@@ -7,6 +7,7 @@ Commands: gen, verify, operators, eval, table.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -193,7 +194,10 @@ def cmd_table(args) -> int:
     return EXIT_OK
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing leaves it
+    unchanged and every call gets a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="gegenlab",
         description="Exact polynomial eigenfunctions, commuting integrals and "

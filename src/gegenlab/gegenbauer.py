@@ -469,15 +469,12 @@ def step(m: Weight, s: Weight, N: int) -> tuple[ZPolynomial, KappaRational]:
     if any(e < 0 for e in target):
         raise DecompositionError(
             f"nonzero step result for invalid target {target} ({where})")
-    # q == P_target * sigma with sigma = q[target], cross-multiplied over D
     p_target = gen_eigen(target, N)
-    top = nums.get(target, KappaPolynomial.zero())
-    for w in nums.keys() | p_target.terms.keys():
-        c = p_target.coefficient(w)
-        if nums.get(w, KappaPolynomial.zero()) * c.den != top * c.num:
-            raise DecompositionError(
-                f"step result for {where} is not proportional to one polynomial")
-    return p_target, KappaRational(top, D)
+    sigma = _integrals._ratio(nums, D, p_target, target)
+    if sigma is None:
+        raise DecompositionError(
+            f"step result for {where} is not proportional to one polynomial")
+    return p_target, sigma
 
 
 # ---------------------------------------------------------------------------

@@ -21,19 +21,22 @@ the terms with mom derivative factors are summed over one common
 denominator, divided exactly and projected to a z-polynomial Z_mom with
 integer coefficients.  The single assembly step
 
-    sum over mom of  kappa^(j - mom) * 2^mom / N^mom * Z_mom
+    sum over mom of  kappa^(j - mom) * 2^mom * N^(j - mom) * Z_mom
 
-is the only place where the engine meets KappaRational; every coefficient
-of an assembled image is a κ-polynomial.  Every term shape carries a
-derivative factor, so the action on constants is zero: the purely
-multiplicative terms are left out, which realizes normal ordering.
+gives every coefficient of the image as an integer κ-polynomial over the
+denominator N^j.  Every term shape carries a derivative factor, so the
+action on constants is zero: the purely multiplicative terms are left out,
+which realizes normal ordering.
 
 The integrals, the characteristic operator Δ(t) and the step operators
-built from it act fraction-free: a z-polynomial is split into κ-polynomial
-numerators over one common κ-denominator D (the lcm of its coefficient
-denominators), the engine images, calibration scales and offsets and the
-powers of t are multiplied into the numerators only, and each output
-coefficient is reduced once, as numerator / D.
+built from it act fraction-free, in the sense of Collins: a z-polynomial
+is split into κ-polynomials with integer coefficients (tuples of Python
+ints) over one common denominator D in ℤ[κ], the lcm of its cleared
+coefficient denominators.  The engine images, the calibration scales and
+offsets and t = a/b are cleared to integers and multiplied into the
+numerators; their denominators N^j, the calibration's integer factor and
+b^N go into D.  Only each output coefficient is reduced, once, as a
+KappaRational numerator / D, with no polynomial gcd when D is a constant.
 
 ``apply_integral(2, . )`` is normalized to have the non-negative spectrum
 (its eigenvalue on an eigenpolynomial is the excitation energy); higher
@@ -44,6 +47,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -51,6 +55,7 @@ from typing import Optional
 from .scalars import (
     KappaPolynomial,
     KappaRational,
+    Q,
     kr,
 )
 from .symfun import (
@@ -61,7 +66,6 @@ from .symfun import (
     XPolynomial,
     XRational,
     ZPolynomial,
-    _add_term,
     _coerce_scalar,
     _elementary_product,
     divide_exact,
@@ -192,21 +196,101 @@ def term_shapes(order: int) -> tuple[TermShape, ...]:
 # the integral action
 # ---------------------------------------------------------------------------
 
-_ONE = KappaPolynomial.one()
-Numerators = dict[Weight, KappaPolynomial]  # over one common κ-denominator
+IntPoly = tuple  # a κ-polynomial as ascending Python ints, no trailing zeros
+Numerators = dict[Weight, IntPoly]  # over one common κ-denominator
+_ONE: IntPoly = (1,)
+_KP_ONE = KappaPolynomial.one()
 
 
-def _numerator(c: KappaRational, context: str) -> KappaPolynomial:
-    """The numerator of a coefficient whose κ-denominator must be 1."""
-    if c.den != _ONE:
-        raise EngineError(f"{context}: coefficient {c!r} has a κ-denominator")
-    return c.num
+def _padd(a: IntPoly, b: IntPoly) -> IntPoly:
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(a)
+    for i, c in enumerate(b):
+        out[i] += c
+    while out and not out[-1]:
+        out.pop()
+    return tuple(out)
+
+
+def _pmul(a: IntPoly, b: IntPoly) -> IntPoly:
+    if not a or not b:
+        return ()
+    if len(a) < len(b):
+        a, b = b, a
+    if len(b) == 1:
+        s = b[0]
+        return tuple(c * s for c in a)
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return tuple(out)
+
+
+def _pdiv_exact(a: IntPoly, b: IntPoly) -> IntPoly:
+    """a / b for integer κ-polynomials whose quotient is integral."""
+    rem = list(a)
+    db = len(b) - 1
+    quot = [0] * (len(a) - db)
+    for i in range(len(a) - 1, db - 1, -1):
+        q = quot[i - db] = rem[i] // b[-1]
+        for j, c in enumerate(b):
+            rem[i - db + j] -= q * c
+    if any(rem):
+        raise ArithmeticError("inexact integer polynomial division")
+    return tuple(quot)
+
+
+def _add_num(out: Numerators, key: Weight, c: IntPoly) -> None:
+    """Sum c into out[key], dropping the entry when the sum is zero."""
+    s = out.get(key)
+    s = c if s is None else _padd(s, c)
+    if s:
+        out[key] = s
+    else:
+        out.pop(key, None)
+
+
+def _cleared(c: KappaRational) -> tuple[IntPoly, IntPoly]:
+    """c as an integer numerator over an integer denominator: its own when
+    it has a κ-denominator (canonical form makes both integral), else the
+    lcm of its numerator's coefficient denominators."""
+    num = c.num.coeffs
+    if c.den != _KP_ONE:
+        return tuple(map(int, num)), tuple(map(int, c.den.coeffs))
+    s = math.lcm(*(int(x.denominator) for x in num))
+    return tuple(int(x.numerator) * (s // int(x.denominator)) for x in num), (s,)
+
+
+def _lcm(dens) -> IntPoly:
+    """The lcm in ℤ[κ] of integer κ-polynomials with positive leading
+    coefficients: the lcm of their contents times the primitive part of
+    their lcm over ℚ (Gauss's lemma keeps every cofactor integral)."""
+    P = _KP_ONE
+    for d in dens:
+        if len(d) > 1:
+            d = KappaPolynomial(d)
+            P = P * d.exact_div(KappaPolynomial.gcd(P, d))
+    P = _cleared(KappaRational._raw(P, _KP_ONE))[0]
+    content = math.gcd(*P)
+    scale = math.lcm(*(math.gcd(*d) for d in dens))
+    return tuple(c // content * scale for c in P)
+
+
+def _reduce(n: IntPoly, D: IntPoly) -> KappaRational:
+    """n / D in canonical form; no polynomial gcd when D is a constant."""
+    if len(D) == 1:
+        return KappaRational._raw(KappaPolynomial._raw(tuple(Q(c, D[0]) for c in n)),
+                                  _KP_ONE)
+    return KappaRational(KappaPolynomial(n), KappaPolynomial(D))
 
 
 @functools.lru_cache(maxsize=None)
 def _engine_monomial(order: int, w: Weight, N: int) -> tuple:
     """Raw engine action on the single monomial z^w (natural normalization),
-    as (weight, κ-polynomial coefficient) pairs."""
+    as (weight, integer κ-polynomial) pairs over the denominator N^order."""
     f = _elementary_product(N, w)
     indices = range(1, N + 1)
     groups: dict[int, list[XRational]] = {}
@@ -231,45 +315,65 @@ def _engine_monomial(order: int, w: Weight, N: int) -> tuple:
                         parts.append(term * pair_curvature(N, *vpair))
                 else:
                     parts.append(term)
-    image: dict[Weight, KappaPolynomial] = {}
+    # each mom fills the single κ power order - mom of every coefficient
+    image: dict[Weight, list[int]] = {}
     for mom, parts in groups.items():
-        context = f"engine order {order}, weight {w}, N={N}, κ power {order - mom}"
+        power = order - mom
+        context = f"engine order {order}, weight {w}, N={N}, κ power {power}"
         try:
             z = project(divide_exact(xr_sum(parts, N)))
         except (NonPolynomialOutput, NonSymmetricInput) as exc:
             raise type(exc)(f"{context}: {exc}") from exc
-        grade = KappaPolynomial([0] * (order - mom) + [Fraction(2 ** mom, N ** mom)])
+        grade = 2 ** mom * N ** power
         for v, c in z.terms.items():
-            _add_term(image, v, _numerator(c, context) * grade)
-    return tuple(image.items())
+            n, d = _cleared(c)
+            if d != _ONE or len(n) != 1:
+                raise EngineError(f"{context}: coefficient {c!r} is not an integer")
+            image.setdefault(v, [0] * order)[power] = grade * n[0]
+    for cs in image.values():
+        while not cs[-1]:
+            cs.pop()
+    return tuple((v, tuple(cs)) for v, cs in image.items())
 
 
-def _split(p: ZPolynomial) -> tuple[Numerators, KappaPolynomial]:
-    """p's coefficients as numerators over D, the lcm of their denominators."""
-    dens = {c.den for c in p.terms.values()}
-    D = _ONE
-    for d in dens:
-        if d != _ONE and d != D:
-            D = D * d.exact_div(KappaPolynomial.gcd(D, d))
-    if D is _ONE:
-        return {w: c.num for w, c in p.terms.items()}, D
-    cofactors = {d: D.exact_div(d) for d in dens}
-    return {w: c.num * cofactors[c.den] for w, c in p.terms.items()}, D
+def _split(p: ZPolynomial) -> tuple[Numerators, IntPoly]:
+    """p's coefficients as integer numerators over D, the lcm of their
+    cleared denominators."""
+    cleared = {w: _cleared(c) for w, c in p.terms.items()}
+    dens = {d for _, d in cleared.values()}
+    if dens <= {_ONE}:
+        return {w: n for w, (n, _) in cleared.items()}, _ONE
+    D = _lcm(dens)
+    cofactors = {d: _pdiv_exact(D, d) for d in dens}
+    return {w: _pmul(n, cofactors[d]) for w, (n, d) in cleared.items()}, D
 
 
-def _rebuild(rank: int, nums: Numerators, D: KappaPolynomial) -> ZPolynomial:
-    """The z-polynomial with coefficients nums[w] / D (no gcd when D is 1)."""
-    return ZPolynomial._raw(rank, {w: KappaRational(n, D) for w, n in nums.items()})
+def _rebuild(rank: int, nums: Numerators, D: IntPoly) -> ZPolynomial:
+    """The z-polynomial with coefficients nums[w] / D."""
+    return ZPolynomial._raw(rank, {w: _reduce(n, D) for w, n in nums.items()})
+
+
+def _ratio(nums: Numerators, D: IntPoly, p: ZPolynomial,
+           w0: Weight) -> Optional[KappaRational]:
+    """σ with nums / D == σ * p for a p whose coefficient at w0 is 1,
+    checked by cross-multiplication in ℤ[κ]; None when there is none."""
+    top = nums.get(w0, ())
+    for w in nums.keys() | p.terms.keys():
+        num, den = _cleared(p.coefficient(w))
+        if _pmul(nums.get(w, ()), den) != _pmul(top, num):
+            return None
+    return _reduce(top, D)
 
 
 def _integral(order: int, nums: Numerators, N: int) -> Numerators:
-    """The order-j integral on numerators over a common denominator."""
+    """N^order times the order-j integral, on numerators over a common
+    denominator."""
     out: Numerators = {}
     for w, c in nums.items():
         for v, e in _engine_monomial(order, w, N):
-            _add_term(out, v, c * e)
+            _add_num(out, v, _pmul(c, e))
     if order == 2:
-        out = {w: -c for w, c in out.items()}
+        out = {w: _pmul(c, (-1,)) for w, c in out.items()}
     return out
 
 
@@ -288,7 +392,7 @@ def apply_integral(order: int, p: ZPolynomial, N: Optional[int] = None) -> ZPoly
     if N < order:
         raise ValueError(f"order {order} needs at least {order} particles, got {N}")
     nums, D = _split(p)
-    return _rebuild(p.rank, _integral(order, nums, N), D)
+    return _rebuild(p.rank, _integral(order, nums, N), _pmul(D, (N ** order,)))
 
 
 # ---------------------------------------------------------------------------
@@ -434,37 +538,52 @@ def calibrate(N: int) -> Calibration:
     return Calibration(N, scales, offsets)
 
 
-def _delta(nums: Numerators, N: int) -> list[Numerators]:
-    """The coefficients of t^0 .. t^N of the characteristic operator, on
-    numerators over a common denominator."""
+def _delta(nums: Numerators, N: int) -> tuple[list[Numerators], int]:
+    """The coefficients of t^0 .. t^N of the characteristic operator times
+    an integer M, returned with them, on numerators over a common
+    denominator; M clears every calibration scale and offset."""
     cal = calibrate(N)
-    coeffs: list[Numerators] = [{} for _ in range(N + 1)]
-    coeffs[N] = nums
+    affine = {}
     for j in range(2, N + 1):
+        offset, r = _cleared(cal.offsets[j])
+        if len(r) != 1:
+            raise EngineError(f"calibration order {j}, N={N}: offset"
+                              f" {cal.offsets[j]!r} has a κ-denominator")
+        affine[j] = (cal.scales[j] / N ** j, offset, r[0])
+    M = math.lcm(*(s.denominator for s, _, _ in affine.values()),
+                 *(r for _, _, r in affine.values()))
+    coeffs: list[Numerators] = [{} for _ in range(N + 1)]
+    coeffs[N] = {w: _pmul(c, (M,)) for w, c in nums.items()}
+    for j, (scale, offset, r) in affine.items():
         sign = (-1) ** j
-        offset = _numerator(cal.offsets[j], f"calibration order {j}, N={N}").scale(sign)
+        scale = (sign * scale.numerator * (M // scale.denominator),)
+        offset = _pmul(offset, (sign * (M // r),))
         oj: Numerators = {}
         for w, c in _integral(j, nums, N).items():
-            _add_term(oj, w, c.scale(cal.scales[j] * sign))
+            _add_num(oj, w, _pmul(c, scale))
         for w, c in nums.items():
-            _add_term(oj, w, c * offset)
+            _add_num(oj, w, _pmul(c, offset))
         coeffs[N - j] = oj
-    return coeffs
+    return coeffs, M
 
 
-def _delta_at(nums: Numerators, D: KappaPolynomial, N: int,
-              t: KappaRational) -> tuple[Numerators, KappaPolynomial]:
-    """Δ(t) for t = a/b on numerators over D: the numerators
-    sum_k coeff_k * a^k * b^(N-k) over the denominator D * b^N."""
-    a, b = t.num, t.den
+def _delta_at(nums: Numerators, D: IntPoly, N: int,
+              t: KappaRational) -> tuple[Numerators, IntPoly]:
+    """Δ(t) for t = a/b, a and b cleared to integer κ-polynomials, on
+    numerators over D: sum_k coeff_k * a^k * b^(N-k) over D * M * b^N."""
+    a, b = _cleared(t)
+    coeffs, M = _delta(nums, N)
+    b_powers = [_ONE]
+    for _ in range(N):
+        b_powers.append(_pmul(b_powers[-1], b))
     out: Numerators = {}
     a_power = _ONE
-    for k, coeff in enumerate(_delta(nums, N)):
-        factor = a_power * b ** (N - k)
+    for k, coeff in enumerate(coeffs):
+        factor = _pmul(a_power, b_powers[N - k])
         for w, c in coeff.items():
-            _add_term(out, w, c * factor)
-        a_power = a_power * a
-    return out, (D if b == _ONE else D * b ** N)
+            _add_num(out, w, _pmul(c, factor))
+        a_power = _pmul(a_power, a)
+    return out, _pmul(D, _pmul((M,), b_powers[N]))
 
 
 def char_apply(p: ZPolynomial, N: int, t: Optional[KappaRational] = None):
@@ -480,7 +599,8 @@ def char_apply(p: ZPolynomial, N: int, t: Optional[KappaRational] = None):
         raise RankMismatch(f"rank {p.rank} polynomial with N={N}")
     nums, D = _split(p)
     if t is None:
-        return [_rebuild(rank, c, D) for c in _delta(nums, N)]
+        coeffs, M = _delta(nums, N)
+        return [_rebuild(rank, c, _pmul(D, (M,))) for c in coeffs]
     return _rebuild(rank, *_delta_at(nums, D, N, _coerce_scalar(t)))
 
 

@@ -23,7 +23,7 @@ from fractions import Fraction
 from typing import Callable, Optional
 
 from .scalars import KappaRational, kr, lin
-from .symfun import ZPolynomial, weighted_degree
+from .symfun import ZPolynomial
 from . import integrals as _integrals
 from . import gegenbauer as _gg
 from .serialize import load_golden, zpoly_text

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import gegenlab
-from gegenlab.cli import main
+from gegenlab.cli import build_parser, main
 from gegenlab.serialize import cache_read, cache_write, load_golden
 from gegenlab.gegenbauer import gen_eigen
 
@@ -79,6 +79,29 @@ class TestGen:
                               "--kappa", "-1"], capsys)
         assert rc == 3
         assert "degeneracy" in err
+
+
+class TestParserReuse:
+    """The parser is built once per process; reusing it changes no output."""
+
+    SEQUENCE = (["gen", "--rank", "2"],  # no --weight: usage error
+                ["gen", "--rank", "2", "--weight", "1,1", "--kappa", "-1/2"],  # κ-pole
+                ["gen", "--rank", "3", "--weight", "1,0,1", "--format", "json"])
+
+    def _run(self, capsys, rebuild):
+        results = []
+        for args in self.SEQUENCE * 2:
+            if rebuild:
+                build_parser.cache_clear()
+            results.append(run_cli(args, capsys))
+        return results
+
+    def test_same_results_with_and_without_rebuilding(self, capsys):
+        rebuilt = self._run(capsys, rebuild=True)
+        assert [rc for rc, _, _ in rebuilt] == [2, 3, 0] * 2
+        assert all(err for _, _, err in rebuilt[:2])
+        assert self._run(capsys, rebuild=False) == rebuilt
+        assert build_parser.cache_info().hits >= len(self.SEQUENCE) * 2 - 1
 
 
 class TestCache:

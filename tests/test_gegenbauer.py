@@ -13,7 +13,7 @@ from gegenlab.scalars import (
     kr,
     lin,
 )
-from gegenlab import gegenbauer, integrals, symfun
+from gegenlab import cli, gegenbauer, integrals, symfun
 from gegenlab.symfun import ZPolynomial, dominated_weights
 from gegenlab.integrals import apply_integral, calibrate
 from gegenlab.gegenbauer import (
@@ -384,10 +384,10 @@ class TestFamilyCoverage:
 
 
 def _cached_functions():
-    """Every memoized function of the symfun, integrals and gegenbauer
+    """Every memoized function of the symfun, integrals, gegenbauer and cli
     modules, by name."""
     found = {}
-    for mod in (symfun, integrals, gegenbauer):
+    for mod in (symfun, integrals, gegenbauer, cli):
         for name, value in vars(mod).items():
             if callable(getattr(value, "cache_clear", None)):
                 found[name] = value
@@ -402,10 +402,11 @@ def _clear_caches():
 class TestCaches:
     def test_caches_can_be_cleared(self):
         def compute():
-            return gen_eigen((2, 1), 3), gen_recurrence((2, 1), 3), calibrate(3)
+            return (gen_eigen((2, 1), 3), gen_recurrence((2, 1), 3), calibrate(3),
+                    cli.build_parser().format_help())
 
         # no memo dict outside cache_clear's reach
-        for mod in (symfun, integrals, gegenbauer):
+        for mod in (symfun, integrals, gegenbauer, cli):
             for name, value in vars(mod).items():
                 assert not (name.endswith("_cache") and isinstance(value, dict)), name
         first = compute()
@@ -414,7 +415,7 @@ class TestCaches:
             assert fn.cache_info().currsize == 0, name
         assert compute() == first
         for name in ("_engine_monomial", "calibrate", "_symbolic_eigen",
-                     "_gen_recurrence_inner"):
+                     "_gen_recurrence_inner", "build_parser"):
             assert _cached_functions()[name].cache_info().misses > 0, name
 
     def test_numeric_coupling_bypasses_symbolic_cache(self):

@@ -28,6 +28,8 @@ from gegenlab.symfun import (
     weighted_degree,
 )
 from gegenlab.integrals import (
+    Calibration,
+    EngineError,
     TermShape,
     apply_gauge_potential,
     apply_integral,
@@ -233,6 +235,21 @@ class TestEngineErrors:
                             lambda f: XPolynomial.variable(f.nvars, 1))
         self._assert_names_inputs(NonSymmetricInput, 0)
 
+    def test_fractional_projection(self, monkeypatch):
+        monkeypatch.setattr(integrals, "project",
+                            lambda f: ZPolynomial(f.nvars - 1, {(1, 0): kr(1, 2)}))
+        self._assert_names_inputs(EngineError, 0)
+
+    def test_calibration_offset_with_kappa_denominator(self, monkeypatch):
+        cal = calibrate(3)
+        offsets = {**cal.offsets, 3: kr(1) / lin(1, 2)}
+        monkeypatch.setattr(integrals, "calibrate",
+                            lambda N: Calibration(N, cal.scales, offsets))
+        with pytest.raises(EngineError) as err:
+            char_apply(ZPolynomial.one(2), 3)
+        for part in ("calibration order 3", "N=3", "κ-denominator"):
+            assert part in str(err.value)
+
 
 def _z_monomial_weights(rank, degree):
     return [w for w in itertools.product(range(degree + 1), repeat=rank)
@@ -294,7 +311,9 @@ class TestCommonDenominatorProperty:
     def test_numeric_t_equals_symbolic_sum(self, case, a, b):
         N, _, p = case
         coeffs = char_apply(p, N)
-        for t in (lin(a, b), lin(1, 2) / kr(3), lin(1, 2) / lin(2, 1)):
+        # 1/3 + κ/2 has no κ-denominator but a numerator that is not integral
+        for t in (lin(a, b), lin(1, 2) / kr(3), lin(1, 2) / lin(2, 1),
+                  lin(Fraction(1, 3), Fraction(1, 2))):
             expected = ZPolynomial.zero(N - 1)
             for k, c in enumerate(coeffs):
                 expected = expected + c.scale(t ** k)
