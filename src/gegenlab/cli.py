@@ -156,16 +156,9 @@ def _table_rows(args):
 
     rows = []
     if args.kind == "recurrence":
-        if args.rank == 2:
-            m, n = weight
-            pairs = [("a", (m, n)), ("a", (n, m)), ("c", (m,)), ("c", (n,))]
-        else:
-            m, l, n = weight
-            pairs = [("a", (m, l)), ("a", (l, m)), ("a", (l, n)), ("a", (n, l)),
-                     ("c", (m,)), ("c", (l,)), ("c", (n,)),
-                     ("d", (m, l, n)), ("d", (n, l, m)),
-                     ("f", (m, l, n)), ("g", (m, l, n))]
-        for kind, idx in pairs:
+        terms = [term for row in gg.RECURRENCE_ROWS[N].values()
+                 for _, term in row(*weight)]
+        for kind, idx in sorted(terms, key=lambda term: term[0]):
             label = f"{kind}({','.join(map(str, idx))})"
             if not any(label == k for k, _ in rows):
                 rows.append((label, show(gg.recurrence_coefficient(kind, idx))))

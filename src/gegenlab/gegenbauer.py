@@ -316,35 +316,31 @@ def _rc(kind: str, *args: int) -> KappaRational:
     return recurrence_coefficient(kind, args)
 
 
-# Multiplication rules z_r * P_m = sum coeff * P_{m+shift}: N -> r -> the
-# list of (shift, coefficient) as a function of the components of m.  The
-# keys are the particle numbers the recurrence route covers.
+# Multiplication rules z_r * P_m = P_{m+e_r} + sum c * P_{m+shift}: N -> r ->
+# the list of (shift, (kind, indices)) as a function of the components of m,
+# where c is recurrence_coefficient(kind, indices).  The keys are the
+# particle numbers the recurrence route covers.
 RECURRENCE_ROWS: dict[int, dict[int, Callable[..., list]]] = {
     3: {
-        1: lambda m, n: [((1, 0), KappaRational.one()),
-                         ((-1, 1), _rc("c", m)),
-                         ((0, -1), _rc("a", m, n))],
-        2: lambda m, n: [((0, 1), KappaRational.one()),
-                         ((1, -1), _rc("c", n)),
-                         ((-1, 0), _rc("a", n, m))],
+        1: lambda m, n: [((-1, 1), ("c", (m,))),
+                         ((0, -1), ("a", (m, n)))],
+        2: lambda m, n: [((1, -1), ("c", (n,))),
+                         ((-1, 0), ("a", (n, m)))],
     },
     4: {
-        1: lambda m, l, n: [((1, 0, 0), KappaRational.one()),
-                            ((-1, 1, 0), _rc("c", m)),
-                            ((0, -1, 1), _rc("a", m, l)),
-                            ((0, 0, -1), _rc("d", m, l, n))],
+        1: lambda m, l, n: [((-1, 1, 0), ("c", (m,))),
+                            ((0, -1, 1), ("a", (m, l))),
+                            ((0, 0, -1), ("d", (m, l, n)))],
         # adjusted reading of the z_2 rule: the two order-one mixed terms
         # target P_{m-1,l,n+1} and P_{m+1,l,n-1} respectively
-        2: lambda m, l, n: [((0, 1, 0), KappaRational.one()),
-                            ((1, -1, 1), _rc("c", l)),
-                            ((-1, 0, 1), _rc("a", l, m)),
-                            ((1, 0, -1), _rc("a", l, n)),
-                            ((-1, 1, -1), _rc("f", m, l, n)),
-                            ((0, -1, 0), _rc("g", m, l, n))],
-        3: lambda m, l, n: [((0, 0, 1), KappaRational.one()),
-                            ((0, 1, -1), _rc("c", n)),
-                            ((1, -1, 0), _rc("a", n, l)),
-                            ((-1, 0, 0), _rc("d", n, l, m))],
+        2: lambda m, l, n: [((1, -1, 1), ("c", (l,))),
+                            ((-1, 0, 1), ("a", (l, m))),
+                            ((1, 0, -1), ("a", (l, n))),
+                            ((-1, 1, -1), ("f", (m, l, n))),
+                            ((0, -1, 0), ("g", (m, l, n)))],
+        3: lambda m, l, n: [((0, 1, -1), ("c", (n,))),
+                            ((1, -1, 0), ("a", (n, l))),
+                            ((-1, 0, 0), ("d", (n, l, m)))],
     },
 }
 
@@ -371,29 +367,20 @@ def _gen_recurrence_inner(m: Weight, N: int) -> ZPolynomial:
     rank = N - 1
     if all(e == 0 for e in m):
         return ZPolynomial.one(rank)
-    # choose the rule whose top shift reaches m
-    if m[0] >= 1:
-        r = 1
-        top_shift = (1,) + (0,) * (rank - 1)
-    elif rank >= 2 and m[-1] >= 1:
-        r = rank
-        top_shift = (0,) * (rank - 1) + (1,)
-    else:
-        r = 2
-        top_shift = (0, 1) + (0,) * (rank - 2)
-    source = tuple(a - b for a, b in zip(m, top_shift))
+    # solve the rule for z_1, else z_rank, else z_2: its top term
+    # P_{source + e_r} is P_m
+    r = 1 if m[0] else rank if m[-1] else 2
+    source = tuple(e - (i == r - 1) for i, e in enumerate(m))
     base = _gen_recurrence_inner(source, N)
     zr = ZPolynomial.variable(rank, r)
     acc = zr * base
-    for shift, coeff in RECURRENCE_ROWS[N][r](*source):
-        if shift == top_shift:
-            continue
-        if coeff.is_zero:
-            continue
+    for shift, (kind, indices) in RECURRENCE_ROWS[N][r](*source):
         target = tuple(a + b for a, b in zip(source, shift))
         if any(e < 0 for e in target):
             continue  # labels with negative entries are the zero polynomial
-        acc = acc - _gen_recurrence_inner(target, N).scale(coeff)
+        coeff = recurrence_coefficient(kind, indices)
+        if not coeff.is_zero:
+            acc = acc - _gen_recurrence_inner(target, N).scale(coeff)
     return acc
 
 

@@ -53,9 +53,14 @@ from fractions import Fraction
 from typing import Optional
 
 from .scalars import (
+    IntPoly,
     KappaPolynomial,
     KappaRational,
-    Q,
+    _cleared,
+    _lcm,
+    _padd,
+    _pdiv_exact,
+    _pmul,
     kr,
 )
 from .symfun import (
@@ -196,51 +201,8 @@ def term_shapes(order: int) -> tuple[TermShape, ...]:
 # the integral action
 # ---------------------------------------------------------------------------
 
-IntPoly = tuple  # a κ-polynomial as ascending Python ints, no trailing zeros
 Numerators = dict[Weight, IntPoly]  # over one common κ-denominator
 _ONE: IntPoly = (1,)
-_KP_ONE = KappaPolynomial.one()
-
-
-def _padd(a: IntPoly, b: IntPoly) -> IntPoly:
-    if len(a) < len(b):
-        a, b = b, a
-    out = list(a)
-    for i, c in enumerate(b):
-        out[i] += c
-    while out and not out[-1]:
-        out.pop()
-    return tuple(out)
-
-
-def _pmul(a: IntPoly, b: IntPoly) -> IntPoly:
-    if not a or not b:
-        return ()
-    if len(a) < len(b):
-        a, b = b, a
-    if len(b) == 1:
-        s = b[0]
-        return tuple(c * s for c in a)
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return tuple(out)
-
-
-def _pdiv_exact(a: IntPoly, b: IntPoly) -> IntPoly:
-    """a / b for integer κ-polynomials whose quotient is integral."""
-    rem = list(a)
-    db = len(b) - 1
-    quot = [0] * (len(a) - db)
-    for i in range(len(a) - 1, db - 1, -1):
-        q = quot[i - db] = rem[i] // b[-1]
-        for j, c in enumerate(b):
-            rem[i - db + j] -= q * c
-    if any(rem):
-        raise ArithmeticError("inexact integer polynomial division")
-    return tuple(quot)
 
 
 def _add_num(out: Numerators, key: Weight, c: IntPoly) -> None:
@@ -251,40 +213,6 @@ def _add_num(out: Numerators, key: Weight, c: IntPoly) -> None:
         out[key] = s
     else:
         out.pop(key, None)
-
-
-def _cleared(c: KappaRational) -> tuple[IntPoly, IntPoly]:
-    """c as an integer numerator over an integer denominator: its own when
-    it has a κ-denominator (canonical form makes both integral), else the
-    lcm of its numerator's coefficient denominators."""
-    num = c.num.coeffs
-    if c.den != _KP_ONE:
-        return tuple(map(int, num)), tuple(map(int, c.den.coeffs))
-    s = math.lcm(*(int(x.denominator) for x in num))
-    return tuple(int(x.numerator) * (s // int(x.denominator)) for x in num), (s,)
-
-
-def _lcm(dens) -> IntPoly:
-    """The lcm in ℤ[κ] of integer κ-polynomials with positive leading
-    coefficients: the lcm of their contents times the primitive part of
-    their lcm over ℚ (Gauss's lemma keeps every cofactor integral)."""
-    P = _KP_ONE
-    for d in dens:
-        if len(d) > 1:
-            d = KappaPolynomial(d)
-            P = P * d.exact_div(KappaPolynomial.gcd(P, d))
-    P = _cleared(KappaRational._raw(P, _KP_ONE))[0]
-    content = math.gcd(*P)
-    scale = math.lcm(*(math.gcd(*d) for d in dens))
-    return tuple(c // content * scale for c in P)
-
-
-def _reduce(n: IntPoly, D: IntPoly) -> KappaRational:
-    """n / D in canonical form; no polynomial gcd when D is a constant."""
-    if len(D) == 1:
-        return KappaRational._raw(KappaPolynomial._raw(tuple(Q(c, D[0]) for c in n)),
-                                  _KP_ONE)
-    return KappaRational(KappaPolynomial(n), KappaPolynomial(D))
 
 
 @functools.lru_cache(maxsize=None)
@@ -350,7 +278,9 @@ def _split(p: ZPolynomial) -> tuple[Numerators, IntPoly]:
 
 def _rebuild(rank: int, nums: Numerators, D: IntPoly) -> ZPolynomial:
     """The z-polynomial with coefficients nums[w] / D."""
-    return ZPolynomial._raw(rank, {w: _reduce(n, D) for w, n in nums.items()})
+    den = KappaPolynomial(D)
+    return ZPolynomial._raw(rank, {w: KappaRational(KappaPolynomial(n), den)
+                                   for w, n in nums.items()})
 
 
 def _ratio(nums: Numerators, D: IntPoly, p: ZPolynomial,
@@ -362,7 +292,7 @@ def _ratio(nums: Numerators, D: IntPoly, p: ZPolynomial,
         num, den = _cleared(p.coefficient(w))
         if _pmul(nums.get(w, ()), den) != _pmul(top, num):
             return None
-    return _reduce(top, D)
+    return KappaRational(KappaPolynomial(top), KappaPolynomial(D))
 
 
 def _integral(order: int, nums: Numerators, N: int) -> Numerators:

@@ -4,44 +4,43 @@ The scalar tower is
 
     Q  ->  KappaPolynomial  ->  KappaRational
 
-with ``Q`` the rationals (``gmpy2.mpq`` when installed, else ``Fraction``),
-and ``KappaRational`` is the coefficient field used by every polynomial layer
-in the package.  Every scalar is real: the operator engine folds its factors
-of the imaginary unit into one real sign per term shape.
+with ``Q`` the rationals (``fractions.Fraction``), and ``KappaRational`` is
+the coefficient field used by every polynomial layer in the package.  Every
+scalar is real: the operator engine folds its factors of the imaginary unit
+into one real sign per term shape.
 
 Every value is immutable and kept in a canonical form, so equality of
 representations is equality of values.  Canonical form of ``num/den``:
 
 * gcd(num, den) = 1 as polynomials over the rationals,
-* num and den are jointly scaled by one positive rational so that their
-  coefficients are coprime integers and den's leading coefficient is a
-  positive rational.
+* a polynomial value has den = 1; a constant den is divided out without a
+  polynomial gcd,
+* otherwise num and den are jointly scaled by one positive rational so that
+  their coefficients are coprime integers and den's leading coefficient is
+  positive.
+
+This module is the only one that knows how a κ-scalar is represented.  It
+also holds the fraction-free layer (Collins 1967) that the operator engine
+runs on: an integer κ-polynomial is a tuple of Python ints (``IntPoly``);
+``_padd`` and ``_pmul`` are the coefficient loops ``KappaPolynomial``
+shares; ``_cleared`` splits a KappaRational into an integer numerator and
+denominator; ``_lcm`` and ``_pdiv_exact`` give a common denominator in ℤ[κ]
+and the cofactors over it.
 """
 from __future__ import annotations
 
+import math
 from fractions import Fraction
-from math import gcd as _igcd
 from typing import Iterable, Union
 
-try:  # GMP-backed rationals are interchangeable with Fraction and much faster
-    from gmpy2 import mpq as Q
-except ImportError:  # pragma: no cover
-    Q = Fraction
+Q = Fraction
 
 _F0 = Q(0)
 _F1 = Q(1)
-_QT = type(Q(0))
 
 
-def _to_q(x):
-    """Coerce ints, Fractions (even with non-int internals) and mpq to Q."""
-    if type(x) is _QT:
-        return x
-    if isinstance(x, int):
-        return Q(x)
-    if isinstance(x, Fraction):
-        return Q(int(x.numerator), int(x.denominator))
-    return Q(x)
+def _to_q(x) -> Fraction:
+    return x if type(x) is Fraction else Fraction(x)
 
 
 class KappaZeroDivision(ZeroDivisionError):
@@ -73,11 +72,85 @@ def _content(fractions: Iterable[Fraction]) -> Fraction:
     num = 0
     den = 1
     for f in fractions:
-        num = _igcd(num, int(f.numerator))
-        den = den * int(f.denominator) // _igcd(den, int(f.denominator))
+        num = math.gcd(num, f.numerator)
+        den = math.lcm(den, f.denominator)
     if num == 0:
         return Fraction(0)
     return Fraction(num, den)
+
+
+# -- integer κ-polynomials -----------------------------------------------
+
+IntPoly = tuple  # a κ-polynomial as ascending Python ints, no trailing zeros
+
+
+def _padd(a: tuple, b: tuple) -> tuple:
+    """Sum of two coefficient tuples (ints or Fractions), trimmed."""
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(a)
+    for i, c in enumerate(b):
+        out[i] += c
+    while out and not out[-1]:
+        out.pop()
+    return tuple(out)
+
+
+def _pmul(a: tuple, b: tuple) -> tuple:
+    """Product of two coefficient tuples without trailing zeros; a zero
+    coefficient keeps the type of a's, so Fraction inputs give Fractions."""
+    if not a or not b:
+        return ()
+    if len(a) < len(b):
+        a, b = b, a
+    if len(b) == 1:
+        s = b[0]
+        return tuple(c * s for c in a)
+    out = [a[0] * 0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return tuple(out)
+
+
+def _pdiv_exact(a: IntPoly, b: IntPoly) -> IntPoly:
+    """a / b for integer κ-polynomials whose quotient is integral."""
+    rem = list(a)
+    db = len(b) - 1
+    quot = [0] * (len(a) - db)
+    for i in range(len(a) - 1, db - 1, -1):
+        q = quot[i - db] = rem[i] // b[-1]
+        for j, c in enumerate(b):
+            rem[i - db + j] -= q * c
+    if any(rem):
+        raise ArithmeticError("inexact integer polynomial division")
+    return tuple(quot)
+
+
+def _cleared(c: "KappaRational") -> tuple[IntPoly, IntPoly]:
+    """c as an integer numerator over an integer denominator: its own when
+    it has a κ-denominator (canonical form makes both integral), else the
+    lcm of its numerator's coefficient denominators."""
+    num = c.num.coeffs
+    if c.den != _KP_ONE:
+        return tuple(map(int, num)), tuple(map(int, c.den.coeffs))
+    s = math.lcm(*(x.denominator for x in num))
+    return tuple(x.numerator * (s // x.denominator) for x in num), (s,)
+
+
+def _lcm(dens) -> IntPoly:
+    """The lcm in ℤ[κ] of integer κ-polynomials with positive leading
+    coefficients: the lcm of their contents times the primitive part of
+    their lcm over ℚ (Gauss's lemma keeps every cofactor integral)."""
+    P = _KP_ONE
+    for d in dens:
+        if len(d) > 1:
+            d = KappaPolynomial(d)
+            P = P * d.exact_div(KappaPolynomial.gcd(P, d))
+    content = P.content()
+    scale = math.lcm(*(math.gcd(*d) for d in dens))
+    return tuple(int(c / content) * scale for c in P.coeffs)
 
 
 class KappaPolynomial:
@@ -105,12 +178,6 @@ class KappaPolynomial:
         p = KappaPolynomial.__new__(KappaPolynomial)
         object.__setattr__(p, "coeffs", coeffs)
         return p
-
-    @staticmethod
-    def _trim(cs: list) -> "KappaPolynomial":
-        while cs and not cs[-1]:
-            cs.pop()
-        return KappaPolynomial._raw(tuple(cs))
 
     @staticmethod
     def zero() -> "KappaPolynomial":
@@ -153,13 +220,7 @@ class KappaPolynomial:
 
     # -- arithmetic --------------------------------------------------------
     def __add__(self, other: "KappaPolynomial") -> "KappaPolynomial":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = out[i] + c
-        return KappaPolynomial._trim(out)
+        return KappaPolynomial._raw(_padd(self.coeffs, other.coeffs))
 
     def __sub__(self, other: "KappaPolynomial") -> "KappaPolynomial":
         return self + (-other)
@@ -168,20 +229,7 @@ class KappaPolynomial:
         return KappaPolynomial._raw(tuple(-c for c in self.coeffs))
 
     def __mul__(self, other: "KappaPolynomial") -> "KappaPolynomial":
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return _KP_ZERO
-        if len(a) == 1 and len(b) == 1:
-            c = a[0] * b[0]
-            return KappaPolynomial._raw((c,)) if c else _KP_ZERO
-        out = [_F0] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            if not ca:
-                continue
-            for j, cb in enumerate(b):
-                if cb:
-                    out[i + j] = out[i + j] + ca * cb
-        return KappaPolynomial._trim(out)
+        return KappaPolynomial._raw(_pmul(self.coeffs, other.coeffs))
 
     def scale(self, s: ScalarLike) -> "KappaPolynomial":
         s = _to_q(s)
@@ -446,7 +494,7 @@ class KappaRational:
 def _coerce_kr(x) -> KappaRational | None:
     if isinstance(x, KappaRational):
         return x
-    if isinstance(x, (int, Fraction, _QT)):
+    if isinstance(x, (int, Fraction)):
         return KappaRational.const(x)
     if isinstance(x, KappaPolynomial):
         return KappaRational(x, _KP_ONE)
@@ -458,8 +506,9 @@ def _normalize(num: KappaPolynomial, den: KappaPolynomial):
         raise KappaZeroDivision("division by zero in κ-field")
     if num.is_zero:
         return _KP_ZERO, _KP_ONE
-    if den is _KP_ONE:
-        return num, _KP_ONE
+    if len(den.coeffs) == 1:
+        d = den.coeffs[0]
+        return (num if d == 1 else num.scale(_F1 / d)), _KP_ONE
     g = KappaPolynomial.gcd(num, den)
     if g.degree > 0:
         num = num.exact_div(g)

@@ -288,6 +288,8 @@ def cache_read(directory: str | Path, rank: int, weight: Weight):
         obj = json.loads(path.read_text())
     except (OSError, json.JSONDecodeError):
         return None, "corrupt"
+    if not isinstance(obj, dict):
+        return None, "corrupt"
     if obj.get("version") != CACHE_VERSION:
         return None, "version-mismatch"
     try:
@@ -296,7 +298,7 @@ def cache_read(directory: str | Path, rank: int, weight: Weight):
         weight_read, poly = zpoly_from_obj(obj)
     except (KeyError, TypeError, ValueError, ZeroDivisionError):
         return None, "corrupt"
-    if weight_read != tuple(weight):
+    if weight_read != tuple(weight) or poly.rank != rank:
         return None, "corrupt"
     return poly, "hit"
 

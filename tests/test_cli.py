@@ -121,6 +121,27 @@ class TestCache:
                                 "--cache", str(tmp_path)], capsys)
         assert rc == 0 and "ignored" in err
 
+    def test_non_object_entry_regenerates(self, tmp_path, capsys):
+        path = cache_write(tmp_path, (1, 0), gen_eigen((1, 0), 3))
+        path.write_text("[1, 2]")
+        q, status = cache_read(tmp_path, 2, (1, 0))
+        assert q is None and status == "corrupt"
+        args = ["gen", "--rank", "2", "--weight", "1,0"]
+        _, fresh, _ = run_cli(args, capsys)
+        rc, out, err = run_cli(args + ["--cache", str(tmp_path)], capsys)
+        assert rc == 0 and "ignored (corrupt)" in err and out == fresh
+
+    def test_wrong_rank_entry_regenerates(self, tmp_path, capsys):
+        # a well-formed rank-3 entry, checksum included, under a rank-2 name
+        path = cache_write(tmp_path, (1, 0), gen_eigen((1, 0, 0), 4))
+        path.rename(tmp_path / "p_r2_w1-0.json")
+        q, status = cache_read(tmp_path, 2, (1, 0))
+        assert q is None and status == "corrupt"
+        args = ["gen", "--rank", "2", "--weight", "1,0"]
+        _, fresh, _ = run_cli(args, capsys)
+        rc, out, err = run_cli(args + ["--cache", str(tmp_path)], capsys)
+        assert rc == 0 and "ignored (corrupt)" in err and out == fresh
+
     def test_version_mismatch_regenerates(self, tmp_path):
         p = gen_eigen((1, 0, 1), 4)
         path = cache_write(tmp_path, (1, 0, 1), p)
@@ -279,6 +300,61 @@ class TestVerifyCommand:
         for check in report.checks:
             assert check.actual in ("0", "1"), check
             assert check.actual == check.expected
+
+
+RECURRENCE_TABLES = {
+    ("2", "0,0"): """\
+a(0,0)  (0)
+c(0)    (0)
+""",
+    ("2", "2,1"): """\
+a(2,1)  (6+11k+3k^2)/(3+8k+7k^2+2k^3)
+a(1,2)  (6+23k+25k^2+6k^3)/(6+19k+22k^2+11k^3+2k^4)
+c(2)    (2+4k)/(2+3k+k^2)
+c(1)    2/(1+k)
+""",
+    ("3", "1,2,0"): """\
+a(1,2)    (6+23k+25k^2+6k^3)/(6+19k+22k^2+11k^3+2k^4)
+a(2,1)    (6+11k+3k^2)/(3+8k+7k^2+2k^3)
+a(2,0)    (0)
+a(0,2)    (1+3k)/(1+2k+k^2)
+c(1)      2/(1+k)
+c(2)      (2+4k)/(2+3k+k^2)
+c(0)      (0)
+d(1,2,0)  (0)
+d(0,2,1)  (6+14k+4k^2)/(3+9k+9k^2+3k^3)
+f(1,2,0)  (0)
+g(1,2,0)  (3+16k+23k^2+6k^3)/(3+12k+18k^2+12k^3+3k^4)
+""",
+    ("3", "2,1,3"): """\
+a(2,1)    (6+11k+3k^2)/(3+8k+7k^2+2k^3)
+a(1,2)    (6+23k+25k^2+6k^3)/(6+19k+22k^2+11k^3+2k^4)
+a(1,3)    (36+81k+54k^2+9k^3)/(36+72k+53k^2+17k^3+2k^4)
+a(3,1)    (12+3k)/(6+7k+2k^2)
+c(2)      (2+4k)/(2+3k+k^2)
+c(1)      2/(1+k)
+c(3)      (6+6k)/(6+5k+k^2)
+d(2,1,3)  (120+366k+396k^2+174k^3+24k^4)/(120+332k+366k^2+201k^3+55k^4+6k^5)
+d(3,1,2)  (180+894k+1580k^2+1214k^3+404k^4+48k^5)/(180+768k+1341k^2+1227k^3+621k^4+165k^5+18k^6)
+f(2,1,3)  (40+112k+64k^2)/(40+84k+66k^2+23k^3+3k^4)
+g(2,1,3)  (360+1158k+1291k^2+636k^3+143k^4+12k^5)/(180+708k+1145k^2+976k^3+463k^4+116k^5+12k^6)
+""",
+}
+
+
+class TestRecurrenceTable:
+    """The rows of `table --kind recurrence`: every coefficient that the
+    multiplication rules name, grouped by kind, each label once."""
+
+    @pytest.mark.parametrize("rank,weight", sorted(RECURRENCE_TABLES))
+    def test_text_and_json(self, rank, weight, capsys):
+        args = ["table", "--rank", rank, "--kind", "recurrence", "--weight", weight]
+        rc, out, _ = run_cli(args, capsys)
+        assert rc == 0 and out == RECURRENCE_TABLES[rank, weight]
+        rows = dict(line.split(None, 1) for line in out.splitlines())
+        rc, out, _ = run_cli(args + ["--format", "json"], capsys)
+        assert rc == 0
+        assert out == json.dumps(rows, indent=2, sort_keys=True) + "\n"
 
 
 class TestRankCoverage:

@@ -11,6 +11,10 @@ from gegenlab.scalars import (
     KappaPole,
     KappaRational,
     KappaZeroDivision,
+    _cleared,
+    _lcm,
+    _pdiv_exact,
+    _pmul,
     kappa,
     kr,
     kr_eval,
@@ -155,3 +159,42 @@ class TestFieldAxioms:
         assert a == b
         assert hash(a) == hash(b)
 
+
+class TestIntegerLayer:
+    """The fraction-free layer: integer κ-polynomials as tuples of ints."""
+
+    def test_cleared_is_integral_and_exact(self):
+        rng = random.Random(20261018)
+        for _ in range(60):
+            c = _random_kr(rng)
+            n, d = _cleared(c)
+            assert all(type(x) is int for x in n + d)
+            assert KappaRational(KappaPolynomial(n), KappaPolynomial(d)) == c
+
+    def test_lcm_is_divided_by_every_denominator(self):
+        rng = random.Random(3)
+        for _ in range(30):
+            dens = {_cleared(_random_kr(rng))[1] for _ in range(rng.randrange(1, 5))}
+            common = _lcm(dens)
+            for d in dens:
+                assert _pmul(_pdiv_exact(common, d), d) == common
+
+    def test_constant_denominator_matches_gcd_path(self):
+        rng = random.Random(11)
+        for _ in range(40):
+            num = _random_kr(rng).num
+            c = Fraction(rng.choice([-6, -1, 2, 5]), rng.randrange(1, 4))
+            r = KappaRational(num, KappaPolynomial.const(c))
+            assert r.den == KappaPolynomial.one()
+            # a common non-constant factor sends the same value through the gcd
+            x = P(1, 1)
+            via_gcd = KappaRational(num * x, KappaPolynomial.const(c) * x)
+            assert (r.num, r.den) == (via_gcd.num, via_gcd.den)
+
+    def test_coefficients_stay_fractions(self):
+        rng = random.Random(5)
+        pairs = [(P(0, 1), P(1, 1))]  # κ * (1+κ) has a zero coefficient
+        pairs += [(_random_kr(rng).num, _random_kr(rng).den) for _ in range(30)]
+        for a, b in pairs:
+            for p in (a + b, a * b, pickle.loads(pickle.dumps(a * b))):
+                assert all(type(c) is Fraction for c in p.coeffs)
