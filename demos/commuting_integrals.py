@@ -31,11 +31,11 @@ print(operator_text(transcribed_operator(3, 2)))
 
 print()
 print("=" * 70)
-print("Action on a non-eigen monomial, engine vs transcription")
+print("Action on a non-eigen monomial, engine vs closed form")
 print("=" * 70)
 mono = ZPolynomial.monomial(2, (1, 1))
 print("  engine:       ", zpoly_text(apply_integral(2, mono, 3)))
-print("  transcription:", zpoly_text(transcribed_operator(3, 2).apply(mono)))
+print("  closed form:  ", zpoly_text(transcribed_operator(3, 2).apply(mono)))
 
 print()
 print("=" * 70)

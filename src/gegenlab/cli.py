@@ -156,7 +156,8 @@ def _table_rows(args):
 
     rows = []
     if args.kind == "recurrence":
-        terms = [term for row in gg.RECURRENCE_ROWS[N].values()
+        rules = ig.covered(gg.RECURRENCE_ROWS, N, "recurrence table")
+        terms = [term for row in rules.values()
                  for _, term in row(*weight)]
         for kind, idx in sorted(terms, key=lambda term: term[0]):
             label = f"{kind}({','.join(map(str, idx))})"
@@ -176,7 +177,6 @@ def _table_rows(args):
 
 
 def cmd_table(args) -> int:
-    ig.covered(gg.RECURRENCE_ROWS, args.rank + 1, "table command")
     rows = _table_rows(args)
     if args.format == "json":
         print(json.dumps({k: v for k, v in rows}, indent=2, sort_keys=True))
@@ -217,7 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--verbose", action="store_true")
     p.set_defaults(fn=cmd_verify)
 
-    p = sub.add_parser("operators", help="print a transcribed z-space operator")
+    p = sub.add_parser("operators", help="print a closed-form z-space operator")
     p.add_argument("--rank", type=int, required=True)
     p.add_argument("--order", type=int, required=True)
     p.add_argument("--format", choices=("text", "latex"), default="text")

@@ -3,7 +3,8 @@
 Two independent generation routes are provided:
 
 * ``gen_eigen`` solves the order-2 eigenproblem triangularly over the
-  dominance cone of the target weight (works for every N >= 2);
+  dominance cone of the target weight on its closed form, which the x-space
+  engine checks (works for every N >= 2);
 * ``gen_recurrence`` builds the family inductively from the closed-form
   multiplication rules for z_1, z_2, z_3 (N = 3 and 4).
 
@@ -15,6 +16,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
@@ -29,9 +31,7 @@ from .scalars import (
 from .symfun import (
     Weight,
     ZPolynomial,
-    dominance_key,
     dominated_weights,
-    weighted_degree,
 )
 from . import integrals as _integrals
 
@@ -55,15 +55,10 @@ def epsilon2(m: Weight, N: int) -> KappaPolynomial:
     n = N - 1
     if len(m) != n:
         raise ValueError(f"weight {m} has rank {len(m)}, expected {n}")
-    const = Fraction(0)
-    for kk in range(1, n + 1):
-        const += Fraction(2 * kk * (N - kk), N) * m[kk - 1] ** 2
-    for l in range(1, n + 1):
-        for kk in range(l + 1, n + 1):
-            const += Fraction(4 * l * (N - kk), N) * m[l - 1] * m[kk - 1]
-    slope = Fraction(0)
-    for kk in range(1, n + 1):
-        slope += 2 * kk * (N - kk) * m[kk - 1]
+    # 2<m, m> in the Gram form min(j,k) - jk/N of the fundamental weights
+    const = sum(Fraction(2 * min(j, k) * (N - max(j, k)), N) * m[j - 1] * m[k - 1]
+                for j in range(1, N) for k in range(1, N))
+    slope = sum(2 * k * (N - k) * m[k - 1] for k in range(1, N))
     return KappaPolynomial.linear(const, slope)
 
 
@@ -193,10 +188,11 @@ def gen_eigen(m: Weight, N: Optional[int] = None,
               kappa: Optional[Fraction] = None) -> ZPolynomial:
     """Monic eigenpolynomial of the order-2 integral with leading weight m.
 
-    Symbolic in κ by default, and memoized.  With a numeric κ the triangular
-    solve still runs symbolically in κ and the coupling is substituted at
-    the end; that result is not memoized.  SpectralDegeneracy is raised when
-    two eigenvalues of the dominance cone collide at that coupling.
+    Solved on the closed-form operator, never the x-space engine; symbolic
+    in κ by default, and memoized.  With a numeric κ the solve still runs
+    symbolically and the coupling is substituted at the end, unmemoized.
+    SpectralDegeneracy is raised when two eigenvalues of the dominance cone
+    collide at that coupling.
     """
     m = tuple(m)
     _require_dominant(m)
@@ -215,42 +211,31 @@ def _symbolic_eigen(m: Weight, N: int) -> ZPolynomial:
 
 
 def _solve_eigen(m: Weight, N: int, kappa: Optional[Fraction]) -> ZPolynomial:
-    rank = N - 1
+    """Triangular solve on order2_terms(N): the diagonal entries are epsilon2,
+    and each solved coefficient pushes the integer rest down the cone."""
     cone = dominated_weights(m)  # sorted leading-first
-    eps: dict[Weight, KappaPolynomial] = {w: epsilon2(w, N) for w in cone}
-    if kappa is not None:
-        eps_num: dict[Weight, Fraction] = {w: e(kappa) for w, e in eps.items()}
-        for w in cone[1:]:
-            if eps_num[w] == eps_num[m]:
-                raise SpectralDegeneracy(f"spectral degeneracy at κ={kappa}")
-    actions = {w: _integrals.apply_integral(2, ZPolynomial.monomial(rank, w), N)
-               for w in cone}
-    coeffs: dict[Weight, KappaRational] = {m: KappaRational.one()}
-    order_index = {w: i for i, w in enumerate(cone)}
-    for mu in cone[1:]:
-        acc = KappaRational.zero()
-        for nu in cone:
-            if nu == mu:
-                continue
-            contrib = actions[nu].coefficient(mu)
-            if contrib.is_zero:
-                continue
-            if nu not in coeffs:
-                # a contribution from a not-yet-solved weight would mean the
-                # processing order is not dominance compatible
-                if order_index[nu] > order_index[mu]:
-                    raise _integrals.EngineError(
-                        f"triangularity violated: {nu} feeds {mu}")
-                continue
-            acc = acc + coeffs[nu] * contrib
-        if acc.is_zero:
+    eps = {w: epsilon2(w, N) for w in cone}
+    if kappa is not None and any(eps[w](kappa) == eps[m](kappa) for w in cone[1:]):
+        raise SpectralDegeneracy(f"spectral degeneracy at κ={kappa}")
+    lowering = [(c, mult, deriv) for (c, _), mult, deriv
+                in _integrals.order2_terms(N) if mult != deriv]
+    coeffs: dict[Weight, KappaRational] = {}
+    pushed = {m: KappaRational.one()}
+    for mu in cone:
+        if mu not in pushed:
             continue
-        denom = KappaRational(eps[m]) - KappaRational(eps[mu])
-        coeffs[mu] = acc / denom
-    poly = ZPolynomial(rank, coeffs)
-    if kappa is not None:
-        poly = poly.substitute_kappa(kappa)
-    return poly
+        c_mu = pushed.pop(mu)
+        c_mu = coeffs[mu] = c_mu if mu == m else c_mu / KappaRational(eps[m] - eps[mu])
+        for c, mult, deriv in lowering:
+            c *= math.prod(math.perm(a, d) for a, d in zip(mu, deriv))
+            if c:
+                nu = tuple(a - d + e for a, d, e in zip(mu, deriv, mult))
+                acc = pushed.get(nu)
+                pushed[nu] = c_mu * c if acc is None else acc + c_mu * c
+    if pushed:  # fed after its solve, or outside the cone
+        raise _integrals.EngineError(f"triangularity violated: {m} feeds {sorted(pushed)}")
+    poly = ZPolynomial(N - 1, coeffs)
+    return poly if kappa is None else poly.substitute_kappa(kappa)
 
 
 # ---------------------------------------------------------------------------

@@ -42,6 +42,9 @@ KappaRational numerator / D, with no polynomial gcd when D is a constant.
 (its eigenvalue on an eigenpolynomial is the excitation energy); higher
 orders keep their natural normalization, which the characteristic-operator
 calibration pins against the spectral product form.
+
+``order2_terms`` is the order-2 integral in closed form, which gen_eigen
+solves on; it and the engine are derived apart, so each checks the other.
 """
 from __future__ import annotations
 
@@ -62,6 +65,7 @@ from .scalars import (
     _pdiv_exact,
     _pmul,
     kr,
+    lin,
 )
 from .symfun import (
     NonPolynomialOutput,
@@ -326,7 +330,7 @@ def apply_integral(order: int, p: ZPolynomial, N: Optional[int] = None) -> ZPoly
 
 
 # ---------------------------------------------------------------------------
-# transcriptions of the closed-form z-space operators
+# closed-form z-space operators
 # ---------------------------------------------------------------------------
 
 class ZOperator:
@@ -364,34 +368,45 @@ class ZOperator:
         return sorted(self.terms, key=lambda t: grlex_key(t[1]), reverse=True)
 
 
+@functools.lru_cache(maxsize=None)
+def order2_terms(N: int) -> tuple:
+    """The order-2 integral in closed form for every N >= 2, in
+    apply_integral's normalization: the radial type-A Laplace–Beltrami
+    operator in elementary symmetric coordinates (Beerends, Trans. AMS 328,
+    1991).  With ∂_r = ∂/∂z_r, z_0 = z_N = 1 and A symmetric,
+
+        L₂ = Σ_r (2r(N−r)/N)(1+Nκ) z_r ∂_r + Σ_{r,s} A_rs ∂_r ∂_s,
+        A_rs = (2/N) r (N−s) z_r z_s − 2 Σ_{k≥1} (s−r+2k) z_{r−k} z_{s+k}, r <= s.
+
+    Each term is (coefficient, multiplier, derivative), for the affine
+    coefficient (constant, slope) times z^multiplier ∂^derivative.  The
+    terms with multiplier == derivative sum to epsilon2 on monomials; the
+    others have integer coefficients and lower a monomial in dominance."""
+    if N < 2:
+        raise ValueError(f"the order-2 integral needs at least 2 particles, got N={N}")
+
+    def z(*indices):  # the exponent of a product of z_i, with z_0 = z_N = 1
+        return tuple(indices.count(j) for j in range(1, N))
+
+    terms = [((Fraction(2 * r * (N - r), N), 2 * r * (N - r)), z(r), z(r))
+             for r in range(1, N)]
+    for r, s in itertools.combinations_with_replacement(range(1, N), 2):
+        pair = 1 if r == s else 2  # ∂_r∂_s and ∂_s∂_r
+        terms.append(((pair * Fraction(2 * r * (N - s), N), 0), z(r, s), z(r, s)))
+        terms += [((-2 * pair * (s - r + 2 * k), 0), z(r - k, s + k), z(r, s))
+                  for k in range(1, min(r, N - s) + 1)]
+    return tuple(terms)
+
+
 def transcribed_operator(N: int, order: int) -> ZOperator:
-    """Closed-form z-space operator for the supported (N, order) pairs,
-    matching apply_integral's normalization exactly."""
-    if (N, order) == (3, 2):
-        s = kr(4, 3)
-        lin1 = KappaRational(KappaPolynomial.linear(1, 3))  # 1 + 3k
-        return ZOperator(2, [
-            (ZPolynomial(2, {(2, 0): s, (0, 1): s * kr(-3)}), (2, 0)),
-            (ZPolynomial(2, {(0, 2): s, (1, 0): s * kr(-3)}), (0, 2)),
-            (ZPolynomial(2, {(1, 1): s, (0, 0): s * kr(-9)}), (1, 1)),
-            (ZPolynomial(2, {(1, 0): s * lin1}), (1, 0)),
-            (ZPolynomial(2, {(0, 1): s * lin1}), (0, 1)),
-        ])
-    if (N, order) == (4, 2):
-        h = kr(1, 2)
-        lin1 = KappaRational(KappaPolynomial.linear(1, 4))  # 1 + 4k
-        return ZOperator(3, [
-            (ZPolynomial(3, {(2, 0, 0): h * kr(3), (0, 1, 0): h * kr(-8)}), (2, 0, 0)),
-            (ZPolynomial(3, {(0, 0, 2): h * kr(3), (0, 1, 0): h * kr(-8)}), (0, 0, 2)),
-            (ZPolynomial(3, {(0, 2, 0): h * kr(4), (1, 0, 1): h * kr(-8),
-                             (0, 0, 0): h * kr(-16)}), (0, 2, 0)),
-            (ZPolynomial(3, {(1, 1, 0): h * kr(4), (0, 0, 1): h * kr(-24)}), (1, 1, 0)),
-            (ZPolynomial(3, {(0, 1, 1): h * kr(4), (1, 0, 0): h * kr(-24)}), (0, 1, 1)),
-            (ZPolynomial(3, {(1, 0, 1): h * kr(2), (0, 0, 0): h * kr(-32)}), (1, 0, 1)),
-            (ZPolynomial(3, {(1, 0, 0): h * kr(3) * lin1}), (1, 0, 0)),
-            (ZPolynomial(3, {(0, 0, 1): h * kr(3) * lin1}), (0, 0, 1)),
-            (ZPolynomial(3, {(0, 1, 0): h * kr(4) * lin1}), (0, 1, 0)),
-        ])
+    """Closed-form z-space operator in apply_integral's normalization: order
+    2 for every N >= 2 from order2_terms, order 3 transcribed for N = 3."""
+    if order == 2:
+        coeffs: dict[Weight, dict] = {}
+        for c, mult, deriv in order2_terms(N):
+            coeffs.setdefault(deriv, {})[mult] = lin(*c)
+        return ZOperator(N - 1, [(ZPolynomial(N - 1, cs), deriv)
+                                 for deriv, cs in coeffs.items()])
     if (N, order) == (3, 3):
         s = kr(8, 27)
         lin2 = KappaRational(KappaPolynomial.linear(2, 3))  # 2 + 3k

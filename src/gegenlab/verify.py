@@ -4,8 +4,8 @@ computation, and each suite produces a machine-readable report.
 Suites
 ------
 appendix     bundled golden table vs. the eigen route (rank 3)
-eigen        eigen equation for the order-2 integral, plus the leading
-             structure of its z-space form
+eigen        the engine's eigen equation on the polynomials solved on the
+             closed form, plus the leading structure of its z-space image
 recurrence   agreement of the recurrence route with the eigen route
 commutators  vanishing commutators of the integrals
 sigma        extracted step factors vs. their closed forms

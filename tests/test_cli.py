@@ -224,6 +224,16 @@ class TestOperators:
         rc, _, _ = run_cli(["operators", "--rank", "3", "--order", "3"], capsys)
         assert rc == 2
 
+    def test_order2_beyond_the_transcribed_ranks(self, capsys):
+        rc, out, _ = run_cli(["operators", "--rank", "4", "--order", "2"], capsys)
+        assert rc == 0
+        assert "4/5 (2 z1^2 - 5 z2) d2/dz1^2" in out
+        assert "d2/dz4^2" in out
+
+    def test_order2_needs_two_particles(self, capsys):
+        rc, out, err = run_cli(["operators", "--rank", "0", "--order", "2"], capsys)
+        assert rc == 2 and not out and "N=1" in err
+
 
 class TestEval:
     def test_leading_variable(self, capsys):
@@ -358,15 +368,17 @@ class TestRecurrenceTable:
 
 
 class TestRankCoverage:
-    """The closed-form families cover ranks 2 and 3; elsewhere the commands
-    that need them are usage errors."""
+    """The tabulated closed-form families cover ranks 2 and 3 (the order-3
+    operator rank 2 only); elsewhere the commands that need them are usage
+    errors.  The spectral vector and the order-2 operator hold at every
+    rank."""
 
     @pytest.mark.parametrize("rank", [1, 4])
     @pytest.mark.parametrize("args", [
         ["gen", "--method", "recurrence"],
         ["table", "--kind", "recurrence"],
         ["table", "--kind", "sigma"],
-        ["table", "--kind", "lvector"],
+        ["operators", "--order", "3"],
         ["verify", "--suite", "recurrence"],
         ["verify", "--suite", "commutators"],
         ["verify", "--suite", "sigma"],
@@ -377,6 +389,19 @@ class TestRankCoverage:
         rc, out, err = run_cli(args + ["--rank", str(rank)]
                                + (weight if args[0] == "gen" else []), capsys)
         assert rc == 2 and not out and err.startswith("error:")
+
+    @pytest.mark.parametrize("rank,weight,expected", [
+        (1, "2", "l[1] at (2,)  (2+k)\nl[2] at (2,)  -(2+k)\n"),
+        (4, "2,0,0,0", "l[1] at (2, 0, 0, 0)  (16/5+4k)\n"
+                       "l[2] at (2, 0, 0, 0)  -(4/5-2k)\n"
+                       "l[3] at (2, 0, 0, 0)  -4/5\n"
+                       "l[4] at (2, 0, 0, 0)  -(4/5+2k)\n"
+                       "l[5] at (2, 0, 0, 0)  -(4/5+4k)\n"),
+    ])
+    def test_lvector_at_any_rank(self, rank, weight, expected, capsys):
+        rc, out, _ = run_cli(["table", "--rank", str(rank), "--kind", "lvector",
+                              "--weight", weight], capsys)
+        assert rc == 0 and out == expected
 
     @pytest.mark.parametrize("rank", [1, 4])
     def test_eigen_suite_at_any_rank(self, rank, capsys):

@@ -1,6 +1,7 @@
 """Polynomial family: spectra, generation routes, recurrences, step operators."""
 import itertools
 import threading
+import time
 from fractions import Fraction
 
 import pytest
@@ -174,6 +175,73 @@ class TestGenEigen:
         # at coupling -1 the eigenvalues of (2,0,0) and (0,1,0) collide
         with pytest.raises(SpectralDegeneracy):
             gen_eigen((2, 0, 0), 4, kappa=Fraction(-1))
+
+
+class TestGenEigenOffTheEngine:
+    """gen_eigen solves on the closed-form order-2 operator alone, so the
+    engine's eigen equation is a second route."""
+
+    def test_no_engine_call(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("gen_eigen reached the x-space engine")
+
+        weights = [((2, 1), 3), ((3, 3), 3), ((1, 1, 1), 4), ((0, 2, 1), 4),
+                   ((1, 0, 0, 1), 5), ((1, 1, 1, 1), 5)]
+        gegenbauer._symbolic_eigen.cache_clear()
+        monkeypatch.setattr(integrals, "apply_integral", refuse)
+        monkeypatch.setattr(integrals, "_engine_monomial", refuse)
+        solved = [(m, N, gen_eigen(m, N)) for m, N in weights]
+        gen_eigen((2, 1, 0, 1), 5, kappa=Fraction(1, 3))
+        monkeypatch.undo()
+        for m, N, p in solved:
+            if N in (3, 4):
+                assert p == gen_recurrence(m, N)
+            assert apply_integral(2, p, N) == p.scale(KappaRational(epsilon2(m, N)))
+
+
+def _elementary(k: int, N: int) -> ZPolynomial:
+    """e_k of N variables on the unit-determinant torus: e_0 = e_N = 1,
+    e_k = z_k in between, and 0 outside [0, N]."""
+    if k in (0, N):
+        return ZPolynomial.one(N - 1)
+    if 0 < k < N:
+        return ZPolynomial.variable(N - 1, k)
+    return ZPolynomial.zero(N - 1)
+
+
+def _dual_jacobi_trudi(m, N: int) -> ZPolynomial:
+    """The Schur polynomial s_λ = det(e_{λ'_i - i + j}) of the partition
+    λ of m (Macdonald I (3.5)), by the Leibniz formula."""
+    lam = symfun.weight_partition(m)
+    conj = [sum(1 for row in lam if row >= i) for i in range(1, lam[0] + 1)]
+    out = ZPolynomial.zero(N - 1)
+    for perm in itertools.permutations(range(len(conj))):
+        term = ZPolynomial.one(N - 1)
+        for i, j in enumerate(perm):
+            term = term * _elementary(conj[i] - i + j, N)
+        inversions = sum(a > b for a, b in itertools.combinations(perm, 2))
+        out = out - term if inversions % 2 else out + term
+    return out
+
+
+class TestSchurLimit:
+    """At κ = 1 the eigenpolynomials are Schur polynomials: a closed form
+    with no solve and no operator, at any N."""
+
+    @pytest.mark.parametrize("N,total", [(3, 3), (4, 3), (5, 3), (6, 2), (7, 2)])
+    def test_dual_jacobi_trudi(self, N, total):
+        for m in itertools.product(range(total + 1), repeat=N - 1):
+            if sum(m) <= total:
+                assert gen_eigen(m, N, kappa=1) == _dual_jacobi_trudi(m, N), m
+
+    def test_six_particles_cold(self):
+        _clear_caches()
+        t0 = time.perf_counter()
+        p = gen_eigen((1, 1, 1, 1, 1), 6, kappa=1)
+        elapsed = time.perf_counter() - t0
+        assert p == _dual_jacobi_trudi((1, 1, 1, 1, 1), 6)
+        # the x-space engine took over a minute here
+        assert elapsed < 5, elapsed
 
 
 class TestRecurrenceCoefficients:
