@@ -17,6 +17,8 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import types
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
@@ -25,6 +27,10 @@ from .scalars import (
     KappaPolynomial,
     KappaRational,
     SpectralDegeneracy,
+    _affine,
+    _fadd,
+    _from_factored,
+    _pmul,
     kr,
     lin,
 )
@@ -55,11 +61,17 @@ def epsilon2(m: Weight, N: int) -> KappaPolynomial:
     n = N - 1
     if len(m) != n:
         raise ValueError(f"weight {m} has rank {len(m)}, expected {n}")
+    const, slope = _scaled_epsilon2(m, N)
+    return KappaPolynomial.linear(Fraction(const, N), Fraction(slope, N))
+
+
+def _scaled_epsilon2(m: Weight, N: int) -> tuple[int, int]:
+    """N * epsilon2(m, N) as the integers (constant, slope)."""
     # 2<m, m> in the Gram form min(j,k) - jk/N of the fundamental weights
-    const = sum(Fraction(2 * min(j, k) * (N - max(j, k)), N) * m[j - 1] * m[k - 1]
+    const = sum(2 * min(j, k) * (N - max(j, k)) * m[j - 1] * m[k - 1]
                 for j in range(1, N) for k in range(1, N))
     slope = sum(2 * k * (N - k) * m[k - 1] for k in range(1, N))
-    return KappaPolynomial.linear(const, slope)
+    return const, N * slope
 
 
 def ground_energy(N: int) -> KappaPolynomial:
@@ -132,15 +144,18 @@ def mu_vector(i: int, n: int) -> Weight:
     """The i-th elementary shift (i = 1..N): components δ_{k,i} - δ_{k,i-1}."""
     if not 1 <= i <= n + 1:
         raise ValueError(f"shift index {i} out of range")
-    return tuple((1 if k == i else 0) - (1 if k == i - 1 else 0)
-                 for k in range(1, n + 1))
+    return _mu_sum((i,), n)
 
 
 def _mu_sum(subset, n: int) -> Weight:
+    """Sum over i in subset of the elementary shifts δ_{k,i} - δ_{k,i-1}:
+    a +1 at k = i and a -1 at k = i - 1, where those lie in 1..n."""
     out = [0] * n
     for i in subset:
-        for k in range(n):
-            out[k] += mu_vector(i, n)[k]
+        if i <= n:
+            out[i - 1] += 1
+        if i >= 2:
+            out[i - 2] -= 1
     return tuple(out)
 
 
@@ -189,10 +204,12 @@ def gen_eigen(m: Weight, N: Optional[int] = None,
     """Monic eigenpolynomial of the order-2 integral with leading weight m.
 
     Solved on the closed-form operator, never the x-space engine; symbolic
-    in κ by default, and memoized.  With a numeric κ the solve still runs
-    symbolically and the coupling is substituted at the end, unmemoized.
-    SpectralDegeneracy is raised when two eigenvalues of the dominance cone
-    collide at that coupling.
+    in κ by default, and memoized.  The solve is fraction-free: each
+    coefficient is an integer κ-numerator over an integer scale times a
+    product of the affine gaps N(ε(m) − ε(μ)), so no polynomial gcd is taken.
+    With a numeric κ the solve still runs symbolically and the coupling is
+    substituted at the end, unmemoized.  SpectralDegeneracy is raised when
+    two eigenvalues of the dominance cone collide at that coupling.
     """
     m = tuple(m)
     _require_dominant(m)
@@ -210,31 +227,50 @@ def _symbolic_eigen(m: Weight, N: int) -> ZPolynomial:
     return _solve_eigen(m, N, None)
 
 
+@functools.lru_cache(maxsize=None)
+def _eigen_split(m: Weight, N: int):
+    """P_m as read-only integer numerators over their common denominator."""
+    nums, D = _integrals._split(_symbolic_eigen(m, N))
+    return types.MappingProxyType(nums), D
+
+
 def _solve_eigen(m: Weight, N: int, kappa: Optional[Fraction]) -> ZPolynomial:
     """Triangular solve on order2_terms(N): the diagonal entries are epsilon2,
-    and each solved coefficient pushes the integer rest down the cone."""
+    and each solved coefficient pushes the integer rest down the cone.  The
+    pushes are factored values (scalars._fadd); solving μ divides by
+    N(ε(m) − ε(μ)), which is an integer affine gap."""
     cone = dominated_weights(m)  # sorted leading-first
-    eps = {w: epsilon2(w, N) for w in cone}
-    if kappa is not None and any(eps[w](kappa) == eps[m](kappa) for w in cone[1:]):
+    top = _scaled_epsilon2(m, N)
+    gaps = {w: tuple(a - b for a, b in zip(top, _scaled_epsilon2(w, N)))
+            for w in cone[1:]}
+    if kappa is not None and any(a + b * kappa == 0 for a, b in gaps.values()):
         raise SpectralDegeneracy(f"spectral degeneracy at κ={kappa}")
     lowering = [(c, mult, deriv) for (c, _), mult, deriv
                 in _integrals.order2_terms(N) if mult != deriv]
-    coeffs: dict[Weight, KappaRational] = {}
-    pushed = {m: KappaRational.one()}
+    solved: dict[Weight, tuple] = {}
+    pushed = {m: ((1,), 1, Counter())}
     for mu in cone:
         if mu not in pushed:
             continue
-        c_mu = pushed.pop(mu)
-        c_mu = coeffs[mu] = c_mu if mu == m else c_mu / KappaRational(eps[m] - eps[mu])
+        num, scale, factors = pushed.pop(mu)
+        if mu != m:
+            g, f = _affine(*gaps[mu])
+            num = _pmul(num, (N,))
+            scale *= g
+            factors = factors + Counter((f,))
+        solved[mu] = num, scale, factors
+        if not num:
+            continue
         for c, mult, deriv in lowering:
             c *= math.prod(math.perm(a, d) for a, d in zip(mu, deriv))
             if c:
                 nu = tuple(a - d + e for a, d, e in zip(mu, deriv, mult))
+                term = _pmul(num, (c,)), scale, factors
                 acc = pushed.get(nu)
-                pushed[nu] = c_mu * c if acc is None else acc + c_mu * c
+                pushed[nu] = term if acc is None else _fadd(acc, term)
     if pushed:  # fed after its solve, or outside the cone
         raise _integrals.EngineError(f"triangularity violated: {m} feeds {sorted(pushed)}")
-    poly = ZPolynomial(N - 1, coeffs)
+    poly = ZPolynomial(N - 1, {w: _from_factored(*v) for w, v in solved.items()})
     return poly if kappa is None else poly.substitute_kappa(kappa)
 
 
@@ -430,7 +466,7 @@ def step(m: Weight, s: Weight, N: int) -> tuple[ZPolynomial, KappaRational]:
     # z_r * P_m and each factor of the subset act on the numerators of P_m
     # over its common κ-denominator D; z_r only shifts their exponents
     lv = l_vector(m, N)
-    nums, D = _integrals._split(gen_eigen(m, N))
+    nums, D = _eigen_split(m, N)
     nums = {w[:zr - 1] + (w[zr - 1] + 1,) + w[zr:]: c for w, c in nums.items()}
     for i in subset:
         nums, D = _integrals._delta_at(nums, D, N, lv.component(i) + t_shift)

@@ -25,11 +25,16 @@ runs on: an integer κ-polynomial is a tuple of Python ints (``IntPoly``);
 ``_padd`` and ``_pmul`` are the coefficient loops ``KappaPolynomial``
 shares; ``_cleared`` splits a KappaRational into an integer numerator and
 denominator; ``_lcm`` and ``_pdiv_exact`` give a common denominator in ℤ[κ]
-and the cofactors over it.
+and the cofactors over it.  The eigen-solve runs on factored values: an
+integer numerator over an integer scale times a multiset of primitive affine
+factors a + bκ.  ``_fadd`` adds two over the max of their multisets, and
+``_from_factored`` cancels each factor by trial division and returns the
+canonical KappaRational, with no polynomial gcd.
 """
 from __future__ import annotations
 
 import math
+from collections import Counter
 from fractions import Fraction
 from typing import Iterable, Union
 
@@ -115,7 +120,8 @@ def _pmul(a: tuple, b: tuple) -> tuple:
 
 
 def _pdiv_exact(a: IntPoly, b: IntPoly) -> IntPoly:
-    """a / b for integer κ-polynomials whose quotient is integral."""
+    """a / b for integer κ-polynomials; ArithmeticError unless b divides a
+    in ℤ[κ]."""
     rem = list(a)
     db = len(b) - 1
     quot = [0] * (len(a) - db)
@@ -151,6 +157,63 @@ def _lcm(dens) -> IntPoly:
     content = P.content()
     scale = math.lcm(*(math.gcd(*d) for d in dens))
     return tuple(int(c / content) * scale for c in P.coeffs)
+
+
+# -- factored denominators -----------------------------------------------
+#
+# A factored value (num, scale, factors) is num / (scale · Π f^k) for an
+# integer numerator, a nonzero int scale and a Counter of primitive affine
+# factors f = a + bκ with b > 0.  Distinct such factors are coprime, so sums
+# need only the max of two multisets and the canonical form only trial
+# division: no polynomial gcd.
+
+def _affine(a: int, b: int) -> tuple[int, IntPoly]:
+    """a + bκ, b != 0, as c · f with f primitive and of positive slope."""
+    g = math.gcd(a, b) if b > 0 else -math.gcd(a, b)
+    return g, (a // g, b // g)
+
+
+def _cofactor(c: int, factors: Counter) -> IntPoly:
+    out = (c,)
+    for f in factors.elements():
+        out = _pmul(out, f)
+    return out
+
+
+def _fadd(x: tuple, y: tuple) -> tuple:
+    """The sum of two factored values, over the max of their multisets."""
+    (n1, s1, f1), (n2, s2, f2) = x, y
+    if s1 == s2 and f1 == f2:
+        return _padd(n1, n2), s1, f1
+    s = math.lcm(s1, s2)
+    f = f1 | f2
+    return (_padd(_pmul(n1, _cofactor(s // s1, f - f1)),
+                  _pmul(n2, _cofactor(s // s2, f - f2))), s, f)
+
+
+def _from_factored(num: IntPoly, scale: int, factors: Counter) -> "KappaRational":
+    """The factored value num / (scale · Π f^k) in canonical form, each
+    factor cancelled by trial division.  What is left is reduced; a
+    product of primitive factors is primitive (Gauss), so the content of the
+    denominator is |scale| and one integer gcd fixes the joint content."""
+    if not num:
+        return _KR_ZERO
+    den = (scale,)
+    for f, k in factors.items():
+        while k:
+            try:  # f is primitive: it divides num over ℚ iff over ℤ (Gauss)
+                num = _pdiv_exact(num, f)
+            except ArithmeticError:
+                break
+            k -= 1
+        for _ in range(k):
+            den = _pmul(den, f)
+    if len(den) == 1:
+        return KappaRational._raw(
+            KappaPolynomial._raw(tuple(Fraction(c, scale) for c in num)), _KP_ONE)
+    g = math.gcd(scale, *num) if scale > 0 else -math.gcd(scale, *num)
+    return KappaRational._raw(KappaPolynomial._raw(tuple(Fraction(c // g) for c in num)),
+                              KappaPolynomial._raw(tuple(Fraction(c // g) for c in den)))
 
 
 class KappaPolynomial:

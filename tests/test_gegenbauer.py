@@ -93,6 +93,17 @@ class TestLVector:
             assert total.is_zero
 
 
+class TestShiftVectors:
+    def test_mu_sum_adds_the_elementary_shifts(self):
+        for N in range(2, 7):
+            n = N - 1
+            for r in range(1, N + 1):
+                for subset in itertools.combinations(range(1, N + 1), r):
+                    want = tuple(sum((k == i) - (k == i - 1) for i in subset)
+                                 for k in range(1, N))
+                    assert gegenbauer._mu_sum(subset, n) == want
+
+
 class TestLShift:
     def test_single_raise(self):
         got = l_shift((0, 0), mu_vector(1, 2), 3)
@@ -197,6 +208,52 @@ class TestGenEigenOffTheEngine:
             if N in (3, 4):
                 assert p == gen_recurrence(m, N)
             assert apply_integral(2, p, N) == p.scale(KappaRational(epsilon2(m, N)))
+
+
+def _weights(N: int, total: int):
+    return [m for m in itertools.product(range(total + 1), repeat=N - 1)
+            if sum(m) <= total]
+
+
+class TestGcdFreeSolve:
+    """The solve carries each coefficient as an integer numerator over
+    known affine factors and never takes a polynomial gcd."""
+
+    WEIGHTS = ([(m, 3) for m in _weights(3, 4)] + [(m, 4) for m in _weights(4, 3)]
+               + [(m, 5) for m in _weights(5, 2)] + [(m, 6) for m in _weights(6, 2)]
+               + [((2, 2, 2), 4), ((3, 1, 1, 3), 5)])
+
+    def test_no_gcd_and_canonical(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the solve took a polynomial gcd")
+
+        gegenbauer._symbolic_eigen.cache_clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(KappaPolynomial, "gcd", staticmethod(refuse))
+            solved = [gen_eigen(m, N) for m, N in self.WEIGHTS]
+            gen_eigen((2, 1, 0, 1), 5, kappa=Fraction(1, 3))
+        for p in solved:
+            for c in p.terms.values():
+                again = KappaRational(c.num, c.den)
+                assert (c.num.coeffs, c.den.coeffs) == (again.num.coeffs, again.den.coeffs)
+                assert all(type(x) is Fraction for x in c.num.coeffs + c.den.coeffs)
+
+    @pytest.mark.parametrize("N,total", [(3, 3), (4, 3), (5, 2), (6, 2)])
+    def test_free_coupling_limit_is_the_orbit_sum(self, N, total):
+        # at κ = 0 the eigenpolynomials are the monomial symmetric functions
+        # m_λ, projected onto e_1..e_{N-1}: no operator is involved
+        for m in _weights(N, total):
+            lam = symfun.weight_partition(m)
+            orbit = symfun.XPolynomial(N, {x: 1 for x in set(itertools.permutations(lam))})
+            assert gen_eigen(m, N).substitute_kappa(0) == symfun.project(orbit), m
+
+    def test_five_particles_cold(self):
+        _clear_caches()
+        t0 = time.perf_counter()
+        p = gen_eigen((3, 1, 1, 3), 5)
+        elapsed = time.perf_counter() - t0
+        assert p.coefficient((3, 1, 1, 3)) == kr(1)
+        assert elapsed < 2, elapsed
 
 
 def _elementary(k: int, N: int) -> ZPolynomial:
@@ -491,6 +548,16 @@ class TestCaches:
         gen_eigen((2, 1), 3, kappa=Fraction(1, 2))
         info = gegenbauer._symbolic_eigen.cache_info()
         assert (info.hits, info.misses, info.currsize) == (0, 0, 0)
+
+    def test_step_reuses_a_read_only_split(self):
+        _clear_caches()
+        first = step((1, 0), (1, 0), 3)
+        assert step((1, 0), (1, 0), 3) == first
+        info = gegenbauer._eigen_split.cache_info()
+        assert (info.hits, info.misses) == (1, 1)
+        nums, _ = gegenbauer._eigen_split((1, 0), 3)
+        with pytest.raises(TypeError):
+            nums[(0, 0)] = (1,)
 
     def test_concurrent_cold_computation(self):
         def compute():

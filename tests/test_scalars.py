@@ -1,7 +1,9 @@
 """Exact scalar kernel: canonical forms, field arithmetic, evaluation."""
 import copy
+import math
 import pickle
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -11,7 +13,10 @@ from gegenlab.scalars import (
     KappaPole,
     KappaRational,
     KappaZeroDivision,
+    _affine,
     _cleared,
+    _fadd,
+    _from_factored,
     _lcm,
     _pdiv_exact,
     _pmul,
@@ -198,3 +203,87 @@ class TestIntegerLayer:
         for a, b in pairs:
             for p in (a + b, a * b, pickle.loads(pickle.dumps(a * b))):
                 assert all(type(c) is Fraction for c in p.coeffs)
+
+
+# affine factors a + bκ; (2, 4) and (1, 2), (-3, -6) and (1, 2), (0, 3) and
+# (0, -1) are proportional pairs, and negative slopes flip the sign
+_AFFINE = [(1, 2), (2, 4), (-3, -6), (0, 3), (0, -1), (5, 1), (-2, 3), (4, -7),
+           (1, 1)]
+
+
+def _factored(rng, cancel: bool):
+    """A random num / (scale · Π factors) as the integer numerator and
+    denominator, and as the factored value of the same quotient."""
+    raw = [rng.choice(_AFFINE) for _ in range(rng.randrange(0, 5))]
+    scale = rng.choice([-6, -2, -1, 1, 3, 4, 12])
+    num = tuple(rng.randrange(-5, 6) for _ in range(rng.randrange(1, 4)))
+    num = num if any(num) else (rng.choice([-2, 1, 7]),)
+    while not num[-1]:
+        num = num[:-1]
+    # share some or all of the factors with the numerator
+    shared = raw if cancel else [f for f in raw if rng.random() < 0.5]
+    for f in shared:
+        num = _pmul(num, f)
+    den = (scale,)
+    factored_scale, factors = scale, Counter()
+    for a, b in raw:
+        den = _pmul(den, (a, b))
+        c, f = _affine(a, b)
+        factored_scale *= c
+        factors[f] += 1
+    return num, den, (num, factored_scale, factors)
+
+
+class TestFactoredDenominator:
+    """The gcd-free canonical form of a quotient by known affine factors
+    agrees with the gcd route of KappaRational."""
+
+    @staticmethod
+    def _gcd_route(num, den) -> KappaRational:
+        return KappaRational(KappaPolynomial(num), KappaPolynomial(den))
+
+    @staticmethod
+    def _assert_same(got: KappaRational, want: KappaRational):
+        assert (got.num.coeffs, got.den.coeffs) == (want.num.coeffs, want.den.coeffs)
+        assert all(type(c) is Fraction for c in got.num.coeffs + got.den.coeffs)
+
+    def test_affine_is_primitive_with_positive_slope(self):
+        for a, b in _AFFINE:
+            c, (p, q) = _affine(a, b)
+            assert q > 0 and math.gcd(p, q) == 1
+            assert (c * p, c * q) == (a, b)
+
+    @pytest.mark.parametrize("cancel", [False, True])
+    def test_matches_gcd_route_on_random_products(self, cancel):
+        rng = random.Random(20261018 + cancel)
+        for _ in range(200):
+            num, den, value = _factored(rng, cancel)
+            self._assert_same(_from_factored(*value), self._gcd_route(num, den))
+
+    def test_named_cases(self):
+        cases = {
+            # (1+2κ)² from a repeated factor, and from a proportional pair
+            "repeated": ((3,), 1, Counter({(1, 2): 2})),
+            "proportional": ((3,), 2, Counter({(1, 2): 2})),
+            # κ(1+2κ) / (2κ(2+4κ)) = 1/4: cancels completely
+            "cancelled": ((0, 1, 2), 4, Counter({(0, 1): 1, (1, 2): 1})),
+            "constant": ((6, 0, -4), -9, Counter()),
+            "negative scale": ((5, 3), -6, Counter({(5, 1): 1, (-2, 3): 2})),
+            "zero": ((), 3, Counter({(1, 1): 1})),
+        }
+        for name, (num, scale, factors) in cases.items():
+            den = (scale,)
+            for f in factors.elements():
+                den = _pmul(den, f)
+            got = _from_factored(num, scale, factors)
+            self._assert_same(got, self._gcd_route(num, den))
+        assert _from_factored((0, 1, 2), 4, Counter({(0, 1): 1, (1, 2): 1})) == kr(1, 4)
+        assert _from_factored((6, 0, -4), -9, Counter()).den == KappaPolynomial.one()
+
+    def test_sum_matches_field_addition(self):
+        rng = random.Random(12)
+        for _ in range(100):
+            _, _, x = _factored(rng, False)
+            _, _, y = _factored(rng, False)
+            got = _from_factored(*_fadd(x, y))
+            self._assert_same(got, _from_factored(*x) + _from_factored(*y))
