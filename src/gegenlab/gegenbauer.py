@@ -17,6 +17,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 import types
 from collections import Counter
 from dataclasses import dataclass
@@ -28,9 +29,14 @@ from .scalars import (
     KappaRational,
     SpectralDegeneracy,
     _affine,
+    _cleared,
+    _cofactor,
+    _factored,
     _fadd,
+    _fmul,
     _from_factored,
     _pmul,
+    _trial_factor,
     kr,
     lin,
 )
@@ -227,11 +233,13 @@ def _symbolic_eigen(m: Weight, N: int) -> ZPolynomial:
     return _solve_eigen(m, N, None)
 
 
-@functools.lru_cache(maxsize=None)
-def _eigen_split(m: Weight, N: int):
-    """P_m as read-only integer numerators over their common denominator."""
-    nums, D = _integrals._split(_symbolic_eigen(m, N))
-    return types.MappingProxyType(nums), D
+def _cone_gaps(m: Weight, N: int) -> tuple[list[Weight], dict]:
+    """The dominance cone of m, leading-first, and the integer affine gap
+    N(ε(m) − ε(μ)) of each μ below m in it."""
+    cone = dominated_weights(m)
+    top = _scaled_epsilon2(m, N)
+    return cone, {w: tuple(a - b for a, b in zip(top, _scaled_epsilon2(w, N)))
+                  for w in cone[1:]}
 
 
 def _solve_eigen(m: Weight, N: int, kappa: Optional[Fraction]) -> ZPolynomial:
@@ -239,10 +247,7 @@ def _solve_eigen(m: Weight, N: int, kappa: Optional[Fraction]) -> ZPolynomial:
     and each solved coefficient pushes the integer rest down the cone.  The
     pushes are factored values (scalars._fadd); solving μ divides by
     N(ε(m) − ε(μ)), which is an integer affine gap."""
-    cone = dominated_weights(m)  # sorted leading-first
-    top = _scaled_epsilon2(m, N)
-    gaps = {w: tuple(a - b for a, b in zip(top, _scaled_epsilon2(w, N)))
-            for w in cone[1:]}
+    cone, gaps = _cone_gaps(m, N)
     if kappa is not None and any(a + b * kappa == 0 for a, b in gaps.values()):
         raise SpectralDegeneracy(f"spectral degeneracy at κ={kappa}")
     lowering = [(c, mult, deriv) for (c, _), mult, deriv
@@ -282,59 +287,47 @@ def recurrence_coefficient(kind: str, args) -> KappaRational:
     """Closed-form coefficient of the multiplication rules.
 
     Kinds: 'c' (1 index), 'a' (2 indices), 'd', 'f', 'g' (3 indices).
-    Returns 0 whenever the leading index factor vanishes.
+    Returns 0 whenever the leading index factor vanishes.  Each kind is an
+    integer times affine factors a + bκ over affine factors, a factored
+    value (scalars._factored) reduced once by trial division: no polynomial
+    gcd is taken.
     """
+    return _from_factored(*_rc(kind, *args))
+
+
+def _rc(kind: str, *args) -> tuple:
+    """recurrence_coefficient(kind, args) as a factored value; its integer
+    constant is the leading index factor, so it vanishes with it."""
     args = tuple(int(x) for x in args)
     if any(x < 0 for x in args):
         raise ValueError(f"negative index in {kind}{args}")
     if kind == "c":
         (m,) = args
-        if m == 0:
-            return KappaRational.zero()
-        num = kr(m) * lin(m - 1, 2)
-        den = lin(m) * lin(m - 1)
-        return num / den
+        return _factored(m, [(m - 1, 2)], [(m, 1), (m - 1, 1)])
     if kind == "a":
         p, q = args
-        if q == 0:
-            return KappaRational.zero()
-        num = kr(q) * lin(p + q) * lin(q - 1, 2) * lin(p + q - 1, 3)
-        den = lin(q) * lin(q - 1) * lin(p + q, 2) * lin(p + q - 1, 2)
-        return num / den
+        return _factored(q, [(p + q, 1), (q - 1, 2), (p + q - 1, 3)],
+                         [(q, 1), (q - 1, 1), (p + q, 2), (p + q - 1, 2)])
     if kind == "d":
         m, l, n = args
-        if n == 0:
-            return KappaRational.zero()
-        num = (kr(n) * lin(l + n) * lin(n - 1, 2) * lin(m + l + n, 2)
-               * lin(l + n - 1, 3) * lin(m + l + n - 1, 4))
-        den = (lin(n) * lin(n - 1) * lin(l + n, 2) * lin(l + n - 1, 2)
-               * lin(m + l + n, 3) * lin(m + l + n - 1, 3))
-        return num / den
+        return _factored(n, [(l + n, 1), (n - 1, 2), (m + l + n, 2),
+                             (l + n - 1, 3), (m + l + n - 1, 4)],
+                         [(n, 1), (n - 1, 1), (l + n, 2), (l + n - 1, 2),
+                          (m + l + n, 3), (m + l + n - 1, 3)])
     if kind == "f":
         m, l, n = args
-        if m == 0 or n == 0:
-            return KappaRational.zero()
-        num = (kr(m * n) * lin(m - 1, 2) * lin(n - 1, 2)
-               * lin(m + l + n, 2) * lin(m + l + n - 1, 4))
-        den = (lin(m) * lin(n) * lin(m - 1) * lin(n - 1)
-               * lin(m + l + n, 3) * lin(m + l + n - 1, 3))
-        return num / den
+        return _factored(m * n, [(m - 1, 2), (n - 1, 2), (m + l + n, 2),
+                                 (m + l + n - 1, 4)],
+                         [(m, 1), (n, 1), (m - 1, 1), (n - 1, 1),
+                          (m + l + n, 3), (m + l + n - 1, 3)])
     if kind == "g":
         m, l, n = args
-        if l == 0:
-            return KappaRational.zero()
-        num = (kr(l) * lin(m + l) * lin(l + n) * lin(l - 1, 2)
-               * lin(m + l + n, 2) * lin(m + l - 1, 3) * lin(l + n - 1, 3)
-               * lin(m + l + n - 1, 4))
-        den = (lin(l) * lin(l - 1) * lin(m + l, 2) * lin(m + l - 1, 2)
-               * lin(l + n, 2) * lin(l + n - 1, 2)
-               * lin(m + l + n, 3) * lin(m + l + n - 1, 3))
-        return num / den
+        return _factored(l, [(m + l, 1), (l + n, 1), (l - 1, 2), (m + l + n, 2),
+                             (m + l - 1, 3), (l + n - 1, 3), (m + l + n - 1, 4)],
+                         [(l, 1), (l - 1, 1), (m + l, 2), (m + l - 1, 2),
+                          (l + n, 2), (l + n - 1, 2), (m + l + n, 3),
+                          (m + l + n - 1, 3)])
     raise ValueError(f"unknown coefficient kind {kind!r}")
-
-
-def _rc(kind: str, *args: int) -> KappaRational:
-    return recurrence_coefficient(kind, args)
 
 
 # Multiplication rules z_r * P_m = P_{m+e_r} + sum c * P_{m+shift}: N -> r ->
@@ -445,11 +438,45 @@ def expand_product(r: int, m: Weight, N: int) -> dict[Weight, KappaRational]:
 # step operators
 # ---------------------------------------------------------------------------
 
+@functools.lru_cache(maxsize=None)
+def _shifted_delta(m: Weight, N: int, r: int):
+    """The Δ(t) coefficients of z_r · P_m, read-only, from integrals._delta:
+    (coefficients of t^0 .. t^N, M, scale, factors), each coefficient a
+    mapping of integer numerators over M · scale · Π f^k.
+
+    scale · Π f^k is the common denominator of P_m, kept factored: each
+    canonical denominator is an integer times affine gaps of m's cone, so
+    trial division against those recovers it, with no polynomial gcd."""
+    _, gaps = _cone_gaps(m, N)
+    candidates = {_affine(*g)[1] for g in gaps.values()}
+    split = {}
+    for w, c in _symbolic_eigen(m, N).terms.items():
+        num, den = _cleared(c)
+        split[w] = (num, *_trial_factor(den, candidates))
+    scale = math.lcm(*(c for _, c, _ in split.values()))
+    factors = functools.reduce(operator.or_, (f for _, _, f in split.values()))
+    # z_r only shifts the exponents
+    nums = {w[:r - 1] + (w[r - 1] + 1,) + w[r:]:
+            _pmul(num, _cofactor(scale // c, factors - f))
+            for w, (num, c, f) in split.items()}
+    coeffs, M = _integrals._delta(nums, N)
+    return (tuple(map(types.MappingProxyType, coeffs)), M, scale,
+            types.MappingProxyType(factors))
+
+
 def step(m: Weight, s: Weight, N: int) -> tuple[ZPolynomial, KappaRational]:
     """Apply the raising/lowering operator for the shift s to P_m.
 
     Returns (P_{m+s}, sigma) with sigma the proportionality factor; at a
     boundary where the target does not exist the result is (0, 0).
+
+    z_r · P_m and each factor Δ(l_i + t_shift) of the subset act on integer
+    numerators over P_m's common denominator.  The first factor evaluates
+    the cached coefficients of Δ on z_r · P_m (``_shifted_delta``), which
+    every shift of one sign and r shares; a second factor runs Δ on the
+    first one's output.  σ is read off by cross-multiplication and reduced
+    with the denominator factored, so with calibrate(N) warm no polynomial
+    gcd is taken.
     """
     m = tuple(m)
     s = tuple(s)
@@ -463,13 +490,14 @@ def step(m: Weight, s: Weight, N: int) -> tuple[ZPolynomial, KappaRational]:
     else:
         zr = N - r
         t_shift = kr(2 * r, N)
-    # z_r * P_m and each factor of the subset act on the numerators of P_m
-    # over its common κ-denominator D; z_r only shifts their exponents
     lv = l_vector(m, N)
-    nums, D = _eigen_split(m, N)
-    nums = {w[:zr - 1] + (w[zr - 1] + 1,) + w[zr:]: c for w, c in nums.items()}
-    for i in subset:
-        nums, D = _integrals._delta_at(nums, D, N, lv.component(i) + t_shift)
+    coeffs, M, scale, factors = _shifted_delta(m, N, zr)
+    first, *rest = subset
+    nums, mult = _integrals._delta_at(coeffs, M, lv.component(first) + t_shift)
+    for i in rest:
+        nums, more = _integrals._delta_at(*_integrals._delta(nums, N),
+                                          lv.component(i) + t_shift)
+        mult = _pmul(mult, more)
     if not nums:
         return ZPolynomial.zero(rank), KappaRational.zero()
     where = f"shift {s} at {m}, N={N}"
@@ -478,96 +506,103 @@ def step(m: Weight, s: Weight, N: int) -> tuple[ZPolynomial, KappaRational]:
         raise DecompositionError(
             f"nonzero step result for invalid target {target} ({where})")
     p_target = gen_eigen(target, N)
-    sigma = _integrals._ratio(nums, D, p_target, target)
-    if sigma is None:
+    top = _integrals._ratio(nums, p_target, target)
+    if top is None:
         raise DecompositionError(
             f"step result for {where} is not proportional to one polynomial")
-    return p_target, sigma
+    (multiplier,) = mult  # every t = a/b has an integer b: M · b^N is an integer
+    return p_target, _from_factored(top, scale * multiplier, factors)
 
 
 # ---------------------------------------------------------------------------
-# closed-form step factors
+# closed-form step factors, as factored values (scalars._factored)
 # ---------------------------------------------------------------------------
 
-def _prod(*factors: KappaRational) -> KappaRational:
-    out = KappaRational.one()
-    for f in factors:
-        out = out * f
-    return out
+def _minus(x: tuple) -> tuple:
+    """The negative of a factored value."""
+    num, scale, factors = x
+    return num, -scale, factors
 
 
-def _pair_norm(a: int, b: int) -> KappaRational:
+def _pair_norm(a: int, b: int) -> tuple:
     """8 (a+b+2κ)(a+κ): single-shift normalization for three particles."""
-    return kr(8) * lin(a + b, 2) * lin(a)
+    return _factored(8, [(a + b, 2), (a, 1)])
 
 
-def _pair_norm_mixed(a: int, b: int) -> KappaRational:
+def _pair_norm_mixed(a: int, b: int) -> tuple:
     """8 (a+κ)(b+κ): mixed single-shift normalization for three particles."""
-    return kr(8) * lin(a) * lin(b)
+    return _factored(8, [(a, 1), (b, 1)])
 
 
-def _chain_norm(m: int, l: int, n: int) -> KappaRational:
+def _chain_norm(m: int, l: int, n: int) -> tuple:
     """16 (m+κ)(m+l+2κ)(m+l+n+3κ): single-shift normalization, four particles."""
-    return kr(16) * lin(m) * lin(m + l, 2) * lin(m + l + n, 3)
+    return _factored(16, [(m, 1), (m + l, 2), (m + l + n, 3)])
 
 
-def _chain_norm_mixed(m: int, l: int, n: int) -> KappaRational:
+def _chain_norm_mixed(m: int, l: int, n: int) -> tuple:
     """16 (m+κ)(l+κ)(l+n+2κ): mixed single-shift normalization, four particles."""
-    return kr(16) * lin(m) * lin(l) * lin(l + n, 2)
+    return _factored(16, [(m, 1), (l, 1), (l + n, 2)])
 
 
-def _double_norm_adjacent(m: int, l: int, n: int) -> KappaRational:
+def _double_norm_adjacent(m: int, l: int, n: int) -> tuple:
     """256 (l+κ)(m+1+κ)(m-1+κ)(m+l+2κ)(l+n+2κ)(m+l+n+3κ)."""
-    return _prod(kr(256), lin(l), lin(m + 1), lin(m - 1),
-                 lin(m + l, 2), lin(l + n, 2), lin(m + l + n, 3))
+    return _factored(256, [(l, 1), (m + 1, 1), (m - 1, 1), (m + l, 2),
+                           (l + n, 2), (m + l + n, 3)])
 
 
-def _double_norm_split(m: int, l: int, n: int) -> KappaRational:
+def _double_norm_split(m: int, l: int, n: int) -> tuple:
     """256 (m+κ)(l+κ)(n+κ)(m+l+1+2κ)(m+l-1+2κ)(m+l+n+3κ)."""
-    return _prod(kr(256), lin(m), lin(l), lin(n),
-                 lin(m + l + 1, 2), lin(m + l - 1, 2), lin(m + l + n, 3))
+    return _factored(256, [(m, 1), (l, 1), (n, 1), (m + l + 1, 2),
+                           (m + l - 1, 2), (m + l + n, 3)])
 
 
-def _double_norm_outer(m: int, l: int, n: int) -> KappaRational:
+def _double_norm_outer(m: int, l: int, n: int) -> tuple:
     """256 (m+κ)(n+κ)(m+l+2κ)(l+n+2κ)(m+l+n+1+3κ)(m+l+n-1+3κ)."""
-    return _prod(kr(256), lin(m), lin(n), lin(m + l, 2), lin(l + n, 2),
-                 lin(m + l + n + 1, 3), lin(m + l + n - 1, 3))
+    return _factored(256, [(m, 1), (n, 1), (m + l, 2), (l + n, 2),
+                           (m + l + n + 1, 3), (m + l + n - 1, 3)])
 
 
-def _double_norm_inner(m: int, l: int, n: int) -> KappaRational:
+def _double_norm_inner(m: int, l: int, n: int) -> tuple:
     """256 (m+κ)(n+κ)(l+1+κ)(l-1+κ)(m+l+2κ)(l+n+2κ)."""
-    return _prod(kr(256), lin(m), lin(n), lin(l + 1), lin(l - 1),
-                 lin(m + l, 2), lin(l + n, 2))
+    return _factored(256, [(m, 1), (n, 1), (l + 1, 1), (l - 1, 1),
+                           (m + l, 2), (l + n, 2)])
 
 
 # N -> shift -> closed-form step factor as a function of the components of
-# m; the keys are the particle numbers the step tables cover.
-SIGMA_TABLES: dict[int, dict[Weight, Callable[..., KappaRational]]] = {
+# m, reduced by sigma_closed_form; the keys are the particle numbers the step
+# tables cover.
+SIGMA_TABLES: dict[int, dict[Weight, Callable[..., tuple]]] = {
     3: {
-        (1, 0): lambda m, n: -_pair_norm(m, n),
-        (-1, 1): lambda m, n: _pair_norm_mixed(m, n) * _rc("c", m),
-        (0, -1): lambda m, n: -_pair_norm(n, m) * _rc("a", m, n),
-        (-1, 0): lambda m, n: _pair_norm(m, n) * _rc("a", n, m),
-        (1, -1): lambda m, n: -_pair_norm_mixed(m, n) * _rc("c", n),
+        (1, 0): lambda m, n: _minus(_pair_norm(m, n)),
+        (-1, 1): lambda m, n: _fmul(_pair_norm_mixed(m, n), _rc("c", m)),
+        (0, -1): lambda m, n: _minus(_fmul(_pair_norm(n, m), _rc("a", m, n))),
+        (-1, 0): lambda m, n: _fmul(_pair_norm(m, n), _rc("a", n, m)),
+        (1, -1): lambda m, n: _minus(_fmul(_pair_norm_mixed(m, n), _rc("c", n))),
         (0, 1): lambda m, n: _pair_norm(n, m),
     },
     # The two mixed double shifts carry the same adjusted reading as the z_2
     # multiplication rule: their order-one factors are a(l,n) and a(l,m).
     4: {
-        (1, 0, 0): lambda m, l, n: -_chain_norm(m, l, n),
-        (-1, 1, 0): lambda m, l, n: _chain_norm_mixed(m, l, n) * _rc("c", m),
-        (0, -1, 1): lambda m, l, n: -_chain_norm_mixed(n, l, m) * _rc("a", m, l),
-        (0, 0, -1): lambda m, l, n: _chain_norm(n, l, m) * _rc("d", m, l, n),
-        (0, 0, 1): lambda m, l, n: -_chain_norm(n, l, m),
-        (0, 1, -1): lambda m, l, n: _chain_norm_mixed(n, l, m) * _rc("c", n),
-        (1, -1, 0): lambda m, l, n: -_chain_norm_mixed(m, l, n) * _rc("a", n, l),
-        (-1, 0, 0): lambda m, l, n: _chain_norm(m, l, n) * _rc("d", n, l, m),
-        (0, 1, 0): lambda m, l, n: -_double_norm_adjacent(m, l, n),
-        (1, -1, 1): lambda m, l, n: _double_norm_split(m, l, n) * _rc("c", l),
-        (1, 0, -1): lambda m, l, n: -_double_norm_outer(m, l, n) * _rc("a", l, n),
-        (-1, 0, 1): lambda m, l, n: -_double_norm_inner(m, l, n) * _rc("a", l, m),
-        (-1, 1, -1): lambda m, l, n: _double_norm_split(n, l, m) * _rc("f", m, l, n),
-        (0, -1, 0): lambda m, l, n: -_double_norm_adjacent(n, l, m) * _rc("g", m, l, n),
+        (1, 0, 0): lambda m, l, n: _minus(_chain_norm(m, l, n)),
+        (-1, 1, 0): lambda m, l, n: _fmul(_chain_norm_mixed(m, l, n), _rc("c", m)),
+        (0, -1, 1): lambda m, l, n: _minus(_fmul(_chain_norm_mixed(n, l, m),
+                                                 _rc("a", m, l))),
+        (0, 0, -1): lambda m, l, n: _fmul(_chain_norm(n, l, m), _rc("d", m, l, n)),
+        (0, 0, 1): lambda m, l, n: _minus(_chain_norm(n, l, m)),
+        (0, 1, -1): lambda m, l, n: _fmul(_chain_norm_mixed(n, l, m), _rc("c", n)),
+        (1, -1, 0): lambda m, l, n: _minus(_fmul(_chain_norm_mixed(m, l, n),
+                                                 _rc("a", n, l))),
+        (-1, 0, 0): lambda m, l, n: _fmul(_chain_norm(m, l, n), _rc("d", n, l, m)),
+        (0, 1, 0): lambda m, l, n: _minus(_double_norm_adjacent(m, l, n)),
+        (1, -1, 1): lambda m, l, n: _fmul(_double_norm_split(m, l, n), _rc("c", l)),
+        (1, 0, -1): lambda m, l, n: _minus(_fmul(_double_norm_outer(m, l, n),
+                                                 _rc("a", l, n))),
+        (-1, 0, 1): lambda m, l, n: _minus(_fmul(_double_norm_inner(m, l, n),
+                                                 _rc("a", l, m))),
+        (-1, 1, -1): lambda m, l, n: _fmul(_double_norm_split(n, l, m),
+                                           _rc("f", m, l, n)),
+        (0, -1, 0): lambda m, l, n: _minus(_fmul(_double_norm_adjacent(n, l, m),
+                                                 _rc("g", m, l, n))),
     },
 }
 
@@ -584,4 +619,4 @@ def sigma_closed_form(m: Weight, s: Weight, N: int) -> KappaRational:
     fn = _integrals.covered(SIGMA_TABLES, N, "step tables").get(s)
     if fn is None:
         raise ShiftNotTabulated(f"shift {s} has no tabulated step operator")
-    return fn(*m)
+    return _from_factored(*fn(*m))

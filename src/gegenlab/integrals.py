@@ -37,6 +37,10 @@ offsets and t = a/b are cleared to integers and multiplied into the
 numerators; their denominators N^j, the calibration's integer factor and
 b^N go into D.  Only each output coefficient is reduced, once, as a
 KappaRational numerator / D, with no polynomial gcd when D is a constant.
+The step operators go further: they keep P_m's denominator factored, reuse
+the Δ coefficients of z_r·P_m (``gegenbauer._shifted_delta``), and reduce
+σ, read off by ``_ratio``, by trial division (``scalars._from_factored``),
+so they take no polynomial gcd at all.
 
 ``apply_integral(2, . )`` is normalized to have the non-negative spectrum
 (its eigenvalue on an eigenpolynomial is the excitation energy); higher
@@ -287,16 +291,15 @@ def _rebuild(rank: int, nums: Numerators, D: IntPoly) -> ZPolynomial:
                                    for w, n in nums.items()})
 
 
-def _ratio(nums: Numerators, D: IntPoly, p: ZPolynomial,
-           w0: Weight) -> Optional[KappaRational]:
-    """σ with nums / D == σ * p for a p whose coefficient at w0 is 1,
-    checked by cross-multiplication in ℤ[κ]; None when there is none."""
+def _ratio(nums: Numerators, p: ZPolynomial, w0: Weight) -> Optional[IntPoly]:
+    """nums[w0] when nums == nums[w0] * p for a p whose coefficient at w0 is
+    1, checked by cross-multiplication in ℤ[κ]; None when there is none."""
     top = nums.get(w0, ())
     for w in nums.keys() | p.terms.keys():
         num, den = _cleared(p.coefficient(w))
         if _pmul(nums.get(w, ()), den) != _pmul(top, num):
             return None
-    return KappaRational(KappaPolynomial(top), KappaPolynomial(D))
+    return top
 
 
 def _integral(order: int, nums: Numerators, N: int) -> Numerators:
@@ -512,12 +515,14 @@ def _delta(nums: Numerators, N: int) -> tuple[list[Numerators], int]:
     return coeffs, M
 
 
-def _delta_at(nums: Numerators, D: IntPoly, N: int,
+def _delta_at(coeffs: list[Numerators], M: int,
               t: KappaRational) -> tuple[Numerators, IntPoly]:
-    """Δ(t) for t = a/b, a and b cleared to integer κ-polynomials, on
-    numerators over D: sum_k coeff_k * a^k * b^(N-k) over D * M * b^N."""
+    """Δ(t) from its coefficients times M (``_delta``), for t = a/b with a
+    and b cleared to integer κ-polynomials: the numerators
+    sum_k coeff_k * a^k * b^(N-k) and their multiplier M * b^N, which the
+    caller multiplies into its denominator."""
+    N = len(coeffs) - 1
     a, b = _cleared(t)
-    coeffs, M = _delta(nums, N)
     b_powers = [_ONE]
     for _ in range(N):
         b_powers.append(_pmul(b_powers[-1], b))
@@ -528,7 +533,7 @@ def _delta_at(nums: Numerators, D: IntPoly, N: int,
         for w, c in coeff.items():
             _add_num(out, w, _pmul(c, factor))
         a_power = _pmul(a_power, a)
-    return out, _pmul(D, _pmul((M,), b_powers[N]))
+    return out, _pmul((M,), b_powers[N])
 
 
 def char_apply(p: ZPolynomial, N: int, t: Optional[KappaRational] = None):
@@ -537,16 +542,20 @@ def char_apply(p: ZPolynomial, N: int, t: Optional[KappaRational] = None):
     With symbolic t (t=None) returns the list of z-polynomial coefficients of
     t^0 .. t^N; with a numeric KappaRational t returns the single evaluated
     z-polynomial.  On an eigenpolynomial the result factorizes as the product
-    of (t - spectral component) times the polynomial.
+    of (t - spectral component) times the polynomial.  Both act on p's
+    integer numerators over its common denominator D; the multiplier of
+    the coefficients, or of the evaluation, goes into D, and each output
+    coefficient is reduced once.
     """
     rank = N - 1
     if p.rank != rank:
         raise RankMismatch(f"rank {p.rank} polynomial with N={N}")
     nums, D = _split(p)
+    coeffs, M = _delta(nums, N)
     if t is None:
-        coeffs, M = _delta(nums, N)
         return [_rebuild(rank, c, _pmul(D, (M,))) for c in coeffs]
-    return _rebuild(rank, *_delta_at(nums, D, N, _coerce_scalar(t)))
+    out, mult = _delta_at(coeffs, M, _coerce_scalar(t))
+    return _rebuild(rank, out, _pmul(D, mult))
 
 
 # ---------------------------------------------------------------------------

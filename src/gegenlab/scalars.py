@@ -25,11 +25,14 @@ runs on: an integer κ-polynomial is a tuple of Python ints (``IntPoly``);
 ``_padd`` and ``_pmul`` are the coefficient loops ``KappaPolynomial``
 shares; ``_cleared`` splits a KappaRational into an integer numerator and
 denominator; ``_lcm`` and ``_pdiv_exact`` give a common denominator in ℤ[κ]
-and the cofactors over it.  The eigen-solve runs on factored values: an
-integer numerator over an integer scale times a multiset of primitive affine
-factors a + bκ.  ``_fadd`` adds two over the max of their multisets, and
+and the cofactors over it.  The eigen-solve, the closed forms and the step
+operators' σ run on factored values: an integer numerator over an integer
+scale times a multiset of primitive affine factors a + bκ.  ``_factored``
+builds one from affine factors, ``_fmul`` multiplies and ``_fadd`` adds two
+over the max of their multisets; ``_trial_factor`` recovers the factored
+form of an integer denominator from candidate factors, and
 ``_from_factored`` cancels each factor by trial division and returns the
-canonical KappaRational, with no polynomial gcd.
+canonical KappaRational.  None of them takes a polynomial gcd.
 """
 from __future__ import annotations
 
@@ -173,6 +176,54 @@ def _affine(a: int, b: int) -> tuple[int, IntPoly]:
     return g, (a // g, b // g)
 
 
+def _factored(c: int, nums=(), dens=()) -> tuple:
+    """The factored value c · Π(a + bκ) / Π(a' + b'κ) of an integer and the
+    affine (a, b) of nums and (a', b') of dens, every b and b' nonzero."""
+    num = (c,) if c else ()
+    for f in nums:
+        num = _pmul(num, f)
+    scale, factors = 1, Counter()
+    for a, b in dens:
+        g, f = _affine(a, b)
+        scale *= g
+        factors[f] += 1
+    return num, scale, factors
+
+
+def _fmul(*values: tuple) -> tuple:
+    """The product of factored values."""
+    num, scale, factors = (1,), 1, Counter()
+    for n, s, f in values:
+        num, scale, factors = _pmul(num, n), scale * s, factors + f
+    return num, scale, factors
+
+
+def _divide_out(p: IntPoly, f: IntPoly, most: int) -> tuple[IntPoly, int]:
+    """p / f^j for the largest j <= most such that the primitive f^j divides
+    p, and j; f divides p over ℚ iff over ℤ (Gauss)."""
+    j = 0
+    while j < most and len(p) >= len(f):
+        try:
+            p = _pdiv_exact(p, f)
+        except ArithmeticError:
+            break
+        j += 1
+    return p, j
+
+
+def _trial_factor(d: IntPoly, candidates) -> tuple[int, Counter]:
+    """d as c · Π f^k over distinct primitive candidates f, found by trial
+    division; ArithmeticError when a non-constant part of d is left."""
+    factors = Counter()
+    for f in candidates:
+        d, k = _divide_out(d, f, len(d))
+        if k:
+            factors[f] = k
+    if len(d) != 1:
+        raise ArithmeticError(f"denominator part {d} is no product of the candidates")
+    return d[0], factors
+
+
 def _cofactor(c: int, factors: Counter) -> IntPoly:
     out = (c,)
     for f in factors.elements():
@@ -200,13 +251,8 @@ def _from_factored(num: IntPoly, scale: int, factors: Counter) -> "KappaRational
         return _KR_ZERO
     den = (scale,)
     for f, k in factors.items():
-        while k:
-            try:  # f is primitive: it divides num over ℚ iff over ℤ (Gauss)
-                num = _pdiv_exact(num, f)
-            except ArithmeticError:
-                break
-            k -= 1
-        for _ in range(k):
+        num, j = _divide_out(num, f, k)
+        for _ in range(k - j):
             den = _pmul(den, f)
     if len(den) == 1:
         return KappaRational._raw(

@@ -12,7 +12,6 @@ output reads like the usual tables for this polynomial family.
 """
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import threading
@@ -258,6 +257,10 @@ def _cache_path(directory: str | Path, rank: int, weight: Weight) -> Path:
 
 
 def _payload_checksum(obj: dict) -> str:
+    # imported here: hashlib loads OpenSSL, about 3 MB of memory that only
+    # the disk cache needs
+    import hashlib
+
     payload = {k: obj[k] for k in ("version", "rank", "weight", "terms")}
     return hashlib.sha256(canonical_json(payload).encode()).hexdigest()
 

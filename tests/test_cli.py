@@ -193,6 +193,25 @@ class TestCache:
         assert status == "hit" and q == old
         assert sorted(tmp_path.iterdir()) == [path]
 
+    def test_checksum_is_pinned(self, tmp_path):
+        path = cache_write(tmp_path, (1, 1), gen_eigen((1, 1), 3))
+        assert json.loads(path.read_text())["checksum"] == (
+            "1049277d6bb118c71c9e43a5d3abfed9158044ce2fc67683d75d08695c47656f")
+
+    def test_import_leaves_hashlib_unloaded(self):
+        # hashlib loads OpenSSL (megabytes of memory); only a cache write
+        # or read needs it
+        code = ("import pkgutil, importlib, sys, gegenlab\n"
+                "for m in pkgutil.iter_modules(gegenlab.__path__):\n"
+                "    importlib.import_module('gegenlab.' + m.name)\n"
+                "print(sorted({'hashlib', '_hashlib'} & set(sys.modules)))")
+        src = str(Path(gegenlab.__file__).resolve().parents[1])
+        pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, env={**os.environ, "PYTHONPATH": pythonpath})
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
     def test_environment_overrides_flag(self, tmp_path, capsys, monkeypatch):
         env_dir = tmp_path / "env"
         flag_dir = tmp_path / "flag"

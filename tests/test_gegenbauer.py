@@ -5,6 +5,7 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gegenlab.scalars import (
     KappaPolynomial,
@@ -256,6 +257,39 @@ class TestGcdFreeSolve:
         assert elapsed < 2, elapsed
 
 
+# the six negative couplings of the numeric benchmark workload, where
+# eigenvalues collide or coefficient denominators vanish
+_NEGATIVE_KAPPAS = tuple(Fraction(-p, q) for p, q in
+                         ((1, 1), (1, 2), (1, 3), (2, 3), (1, 4), (3, 4)))
+
+
+@st.composite
+def _numeric_case(draw):
+    N = draw(st.integers(3, 6))
+    m = draw(st.sampled_from(_weights(N, 3)))
+    q = draw(st.one_of(st.builds(Fraction, st.integers(-4, 4), st.integers(1, 4)),
+                       st.sampled_from(_NEGATIVE_KAPPAS)))
+    return m, N, q
+
+
+class TestNumericCouplingProperty:
+    """gen_eigen at a rational coupling is the symbolic solve substituted,
+    or a typed degeneracy where two eigenvalues of the cone collide."""
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(_numeric_case())
+    def test_numeric_equals_substituted_symbolic(self, case):
+        m, N, q = case
+        top = epsilon2(m, N)
+        collide = any((top - epsilon2(w, N))(q) == 0 for w in dominated_weights(m)[1:])
+        try:
+            got = gen_eigen(m, N, kappa=q)
+        except SpectralDegeneracy:
+            assert collide, (m, N, q)
+            return
+        assert got == gen_eigen(m, N).substitute_kappa(q)
+
+
 def _elementary(k: int, N: int) -> ZPolynomial:
     """e_k of N variables on the unit-determinant torus: e_0 = e_N = 1,
     e_k = z_k in between, and 0 outside [0, N]."""
@@ -477,6 +511,176 @@ class TestSigmaClosedForm:
                 assert sigma == sigma_closed_form(m, s, 3)
 
 
+# The closed forms as KappaRational arithmetic, transcribed from their
+# formulas: the oracle for the factored values the library builds.
+
+def _oracle_rc(kind, args):
+    if kind == "c":
+        (m,) = args
+        if m == 0:
+            return KappaRational.zero()
+        return kr(m) * lin(m - 1, 2) / (lin(m) * lin(m - 1))
+    if kind == "a":
+        p, q = args
+        if q == 0:
+            return KappaRational.zero()
+        return (kr(q) * lin(p + q) * lin(q - 1, 2) * lin(p + q - 1, 3)
+                / (lin(q) * lin(q - 1) * lin(p + q, 2) * lin(p + q - 1, 2)))
+    m, l, n = args
+    if kind == "d":
+        if n == 0:
+            return KappaRational.zero()
+        return (kr(n) * lin(l + n) * lin(n - 1, 2) * lin(m + l + n, 2)
+                * lin(l + n - 1, 3) * lin(m + l + n - 1, 4)
+                / (lin(n) * lin(n - 1) * lin(l + n, 2) * lin(l + n - 1, 2)
+                   * lin(m + l + n, 3) * lin(m + l + n - 1, 3)))
+    if kind == "f":
+        if m == 0 or n == 0:
+            return KappaRational.zero()
+        return (kr(m * n) * lin(m - 1, 2) * lin(n - 1, 2)
+                * lin(m + l + n, 2) * lin(m + l + n - 1, 4)
+                / (lin(m) * lin(n) * lin(m - 1) * lin(n - 1)
+                   * lin(m + l + n, 3) * lin(m + l + n - 1, 3)))
+    assert kind == "g"
+    if l == 0:
+        return KappaRational.zero()
+    return (kr(l) * lin(m + l) * lin(l + n) * lin(l - 1, 2)
+            * lin(m + l + n, 2) * lin(m + l - 1, 3) * lin(l + n - 1, 3)
+            * lin(m + l + n - 1, 4)
+            / (lin(l) * lin(l - 1) * lin(m + l, 2) * lin(m + l - 1, 2)
+               * lin(l + n, 2) * lin(l + n - 1, 2)
+               * lin(m + l + n, 3) * lin(m + l + n - 1, 3)))
+
+
+def _rc(kind, *args):
+    return _oracle_rc(kind, args)
+
+
+def _pair(a, b):
+    return kr(8) * lin(a + b, 2) * lin(a)
+
+
+def _pair_mixed(a, b):
+    return kr(8) * lin(a) * lin(b)
+
+
+def _chain(m, l, n):
+    return kr(16) * lin(m) * lin(m + l, 2) * lin(m + l + n, 3)
+
+
+def _chain_mixed(m, l, n):
+    return kr(16) * lin(m) * lin(l) * lin(l + n, 2)
+
+
+def _adjacent(m, l, n):
+    return (kr(256) * lin(l) * lin(m + 1) * lin(m - 1) * lin(m + l, 2)
+            * lin(l + n, 2) * lin(m + l + n, 3))
+
+
+def _split(m, l, n):
+    return (kr(256) * lin(m) * lin(l) * lin(n) * lin(m + l + 1, 2)
+            * lin(m + l - 1, 2) * lin(m + l + n, 3))
+
+
+def _outer(m, l, n):
+    return (kr(256) * lin(m) * lin(n) * lin(m + l, 2) * lin(l + n, 2)
+            * lin(m + l + n + 1, 3) * lin(m + l + n - 1, 3))
+
+
+def _inner(m, l, n):
+    return (kr(256) * lin(m) * lin(n) * lin(l + 1) * lin(l - 1)
+            * lin(m + l, 2) * lin(l + n, 2))
+
+
+_ORACLE_SIGMA = {
+    3: {
+        (1, 0): lambda m, n: -_pair(m, n),
+        (-1, 1): lambda m, n: _pair_mixed(m, n) * _rc("c", m),
+        (0, -1): lambda m, n: -_pair(n, m) * _rc("a", m, n),
+        (-1, 0): lambda m, n: _pair(m, n) * _rc("a", n, m),
+        (1, -1): lambda m, n: -_pair_mixed(m, n) * _rc("c", n),
+        (0, 1): lambda m, n: _pair(n, m),
+    },
+    4: {
+        (1, 0, 0): lambda m, l, n: -_chain(m, l, n),
+        (-1, 1, 0): lambda m, l, n: _chain_mixed(m, l, n) * _rc("c", m),
+        (0, -1, 1): lambda m, l, n: -_chain_mixed(n, l, m) * _rc("a", m, l),
+        (0, 0, -1): lambda m, l, n: _chain(n, l, m) * _rc("d", m, l, n),
+        (0, 0, 1): lambda m, l, n: -_chain(n, l, m),
+        (0, 1, -1): lambda m, l, n: _chain_mixed(n, l, m) * _rc("c", n),
+        (1, -1, 0): lambda m, l, n: -_chain_mixed(m, l, n) * _rc("a", n, l),
+        (-1, 0, 0): lambda m, l, n: _chain(m, l, n) * _rc("d", n, l, m),
+        (0, 1, 0): lambda m, l, n: -_adjacent(m, l, n),
+        (1, -1, 1): lambda m, l, n: _split(m, l, n) * _rc("c", l),
+        (1, 0, -1): lambda m, l, n: -_outer(m, l, n) * _rc("a", l, n),
+        (-1, 0, 1): lambda m, l, n: -_inner(m, l, n) * _rc("a", l, m),
+        (-1, 1, -1): lambda m, l, n: _split(n, l, m) * _rc("f", m, l, n),
+        (0, -1, 0): lambda m, l, n: -_adjacent(n, l, m) * _rc("g", m, l, n),
+    },
+}
+
+
+def _canonical(c):
+    """The representation of a scalar, coefficient types included."""
+    coeffs = c.num.coeffs + c.den.coeffs
+    return c.num.coeffs, c.den.coeffs, tuple(map(type, coeffs))
+
+
+def _refuse_gcd(*args):
+    raise AssertionError("a polynomial gcd was taken")
+
+
+class TestFactoredClosedForms:
+    """Every closed form is built as a factored value and reduced once by
+    trial division: the same canonical scalar as the KappaRational formula,
+    with no polynomial gcd."""
+
+    RC_CASES = [(kind, args) for kind, n in (("c", 1), ("a", 2), ("d", 3),
+                                             ("f", 3), ("g", 3))
+                for args in itertools.product(range(7), repeat=n)]
+    SIGMA_WEIGHTS = ([(m, 3) for m in itertools.product(range(7), repeat=2)]
+                     + [(m, 4) for m in _weights(4, 4)])
+
+    def test_recurrence_coefficients(self, monkeypatch):
+        with monkeypatch.context() as patch:
+            patch.setattr(KappaPolynomial, "gcd", staticmethod(_refuse_gcd))
+            got = [recurrence_coefficient(kind, args) for kind, args in self.RC_CASES]
+        assert len(got) == 1085
+        for (kind, args), c in zip(self.RC_CASES, got):
+            assert _canonical(c) == _canonical(_oracle_rc(kind, args)), (kind, args)
+
+    def test_sigma_tables(self, monkeypatch):
+        cases = [(m, s, N) for m, N in self.SIGMA_WEIGHTS for s in tabulated_shifts(N)]
+        with monkeypatch.context() as patch:
+            patch.setattr(KappaPolynomial, "gcd", staticmethod(_refuse_gcd))
+            got = [sigma_closed_form(m, s, N) for m, s, N in cases]
+        for (m, s, N), c in zip(cases, got):
+            assert _canonical(c) == _canonical(_ORACLE_SIGMA[N][s](*m)), (m, s, N)
+
+
+class TestGcdFreeStep:
+    """With calibrate warm, step reduces σ with P_m's denominator kept
+    factored and takes no polynomial gcd, cold or warm."""
+
+    # the sigma suite's and criterion 6's grid
+    GRID = [(m, N) for N, bound in ((3, 2), (4, 1))
+            for m in itertools.product(range(bound + 1), repeat=N - 1)]
+
+    def test_cold_and_warm(self, monkeypatch):
+        calibrate(3)
+        calibrate(4)
+        gegenbauer._symbolic_eigen.cache_clear()
+        gegenbauer._shifted_delta.cache_clear()
+        cases = [(m, s, N) for m, N in self.GRID for s in tabulated_shifts(N)]
+        with monkeypatch.context() as patch:
+            patch.setattr(KappaPolynomial, "gcd", staticmethod(_refuse_gcd))
+            cold = [step(m, s, N) for m, s, N in cases]
+            warm = [step(m, s, N) for m, s, N in cases]
+        assert cold == warm
+        for (m, s, N), (_, sigma) in zip(cases, cold):
+            assert sigma == sigma_closed_form(m, s, N), (m, s, N)
+
+
 def _family_calls(N):
     """One call per closed-form family at particle number N."""
     rank = N - 1
@@ -550,14 +754,21 @@ class TestCaches:
         assert (info.hits, info.misses, info.currsize) == (0, 0, 0)
 
     def test_step_reuses_a_read_only_split(self):
+        # the Δ coefficients of z_r·P_m over P_m's factored denominator
         _clear_caches()
         first = step((1, 0), (1, 0), 3)
         assert step((1, 0), (1, 0), 3) == first
-        info = gegenbauer._eigen_split.cache_info()
+        info = gegenbauer._shifted_delta.cache_info()
         assert (info.hits, info.misses) == (1, 1)
-        nums, _ = gegenbauer._eigen_split((1, 0), 3)
+        coeffs, _, _, factors = gegenbauer._shifted_delta((1, 0), 3, 1)
         with pytest.raises(TypeError):
-            nums[(0, 0)] = (1,)
+            coeffs[0][(0, 0)] = (1,)
+        with pytest.raises(TypeError):
+            coeffs[0] = {}
+        with pytest.raises(TypeError):
+            factors[(1, 1)] = 1
+        gegenbauer._shifted_delta.cache_clear()
+        assert gegenbauer._shifted_delta.cache_info().currsize == 0
 
     def test_concurrent_cold_computation(self):
         def compute():

@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 
+from gegenlab import scalars
 from gegenlab.scalars import (
     KappaPolynomial,
     KappaPole,
@@ -16,10 +17,12 @@ from gegenlab.scalars import (
     _affine,
     _cleared,
     _fadd,
+    _fmul,
     _from_factored,
     _lcm,
     _pdiv_exact,
     _pmul,
+    _trial_factor,
     kappa,
     kr,
     kr_eval,
@@ -287,3 +290,32 @@ class TestFactoredDenominator:
             _, _, y = _factored(rng, False)
             got = _from_factored(*_fadd(x, y))
             self._assert_same(got, _from_factored(*x) + _from_factored(*y))
+
+    def test_product_matches_field_multiplication(self):
+        rng = random.Random(13)
+        for _ in range(100):
+            _, _, x = _factored(rng, False)
+            _, _, y = _factored(rng, rng.random() < 0.5)
+            got = _from_factored(*_fmul(x, y))
+            self._assert_same(got, _from_factored(*x) * _from_factored(*y))
+
+    def test_built_from_affine_factors(self):
+        # 6κ(1+2κ) / ((2+4κ)·3κ) = 1
+        value = scalars._factored(6, [(0, 1), (1, 2)], [(2, 4), (0, 3)])
+        assert value == ((0, 6, 12), 6, Counter({(1, 2): 1, (0, 1): 1}))
+        assert _from_factored(*value) == kr(1)
+        value = scalars._factored(-2, [(1, 1)], [(3, 1), (3, 1), (-1, -2)])
+        want = kr(-2) * lin(1, 1) / (lin(3, 1) * lin(3, 1) * lin(-1, -2))
+        self._assert_same(_from_factored(*value), want)
+        # a vanishing constant is the zero value, whatever the factors
+        assert _from_factored(*scalars._factored(0, [(1, 1)], [(0, 1)])).is_zero
+
+    def test_trial_factor(self):
+        d = (6,)
+        for f in ((1, 2), (1, 2), (0, 1)):
+            d = _pmul(d, f)
+        got = _trial_factor(d, [(5, 3), (0, 1), (1, 2)])
+        assert got == (6, Counter({(1, 2): 2, (0, 1): 1}))
+        assert _trial_factor((4,), [(1, 2)]) == (4, Counter())
+        with pytest.raises(ArithmeticError):
+            _trial_factor(d, [(1, 2)])  # κ is left over
