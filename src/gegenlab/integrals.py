@@ -16,10 +16,16 @@ j - mom for a term with mom derivative factors.  The engine works with the
 real B_j and the integer momentum N x_j d/dx_j - d; the factors of i leave
 one sign per term shape (``TermShape.sign``) and a factor 2 per derivative.
 
-So the x-space layer computes over the integers, one kappa power at a time:
-the terms with mom derivative factors are summed over one common
-denominator, divided exactly and projected to a z-polynomial Z_mom with
-integer coefficients.  The single assembly step
+So the x-space layer computes over the integers, one kappa power at a time.
+The lifted z-monomial f is symmetric and the momenta, the gauge rows and
+the curvature are S_N-equivariant, so the terms with mom derivative
+factors are summed once per index orbit: the derivatives on 1..mom times
+the signed sum of every gauge and curvature placement on the other
+indices, brought once over V^e with V = prod_{a<b} (x_a - x_b), is one
+product, and its C(N, mom) images under index permutations (times the
+permutation's sign when e is odd) are summed, divided exactly by V^e and
+projected to a z-polynomial Z_mom with integer coefficients.  The single
+assembly step
 
     sum over mom of  kappa^(j - mom) * 2^mom * N^(j - mom) * Z_mom
 
@@ -55,6 +61,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -79,6 +86,7 @@ from .symfun import (
     XPolynomial,
     XRational,
     ZPolynomial,
+    _binomial_power,
     _coerce_scalar,
     _elementary_product,
     divide_exact,
@@ -224,40 +232,78 @@ def _add_num(out: Numerators, key: Weight, c: IntPoly) -> None:
 
 
 @functools.lru_cache(maxsize=None)
+def _gauge_weight(order: int, mom: int, N: int) -> tuple[int, XPolynomial]:
+    """The signed sum of the gauge and curvature factors that multiply
+    D_1..D_mom f in the order-j terms with mom derivative factors, placed
+    on the indices mom+1..N, as (e, P) for P / V^e: V is the product of
+    every x_a - x_b, a < b, and e the largest power of a pair factor.
+    It does not depend on f, and a permutation σ takes V^e to sgn(σ)^e V^e."""
+    rest = range(mom + 1, N + 1)
+    parts = []
+    for shape in term_shapes(order):
+        if shape.mom != mom:
+            continue
+        sign = XRational(XPolynomial.monomial(N, (0,) * N, shape.sign))
+        for bset in itertools.combinations(rest, shape.gauge):
+            term = sign
+            for b in bset:
+                term = apply_gauge_potential(term, b)
+            if shape.curv:
+                left = [a for a in rest if a not in bset]
+                parts += [term * pair_curvature(N, *vpair)
+                          for vpair in itertools.combinations(left, 2)]
+            else:
+                parts.append(term)
+    weight = xr_sum(parts, N)
+    e = max(weight.den_pairs.values(), default=0)
+    num = weight.num
+    for a, b in itertools.combinations(range(1, N + 1), 2):
+        k = e - weight.den_pairs.get((a, b), 0)
+        if k:
+            num = num * _binomial_power(N, a, b, k)
+    return e, num
+
+
+def _orbit_sum(g: XPolynomial, mom: int, e: int) -> XRational:
+    """The sum over every mom-subset S of the image of g / V^e under the
+    permutation taking 1..mom to S and mom+1..N to the rest, both in order;
+    V^e picks up the permutation's sign e times."""
+    N = g.nvars
+    terms = list(g.terms.items())
+    negated = [(ex, -c) for ex, c in terms] if e % 2 else terms
+    out: dict[tuple, int] = {}
+    for subset in itertools.combinations(range(N), mom):
+        perm = subset + tuple(i for i in range(N) if i not in subset)
+        inverse = operator.itemgetter(*map(perm.index, range(N)))
+        odd = sum(s - i for i, s in enumerate(subset)) % 2  # inversions of perm
+        for ex, c in negated if odd else terms:
+            key = inverse(ex)
+            out[key] = out.get(key, 0) + c
+    num = XPolynomial._raw(N, {ex: c for ex, c in out.items() if c})
+    return XRational(num, dict.fromkeys(itertools.combinations(range(1, N + 1), 2), e))
+
+
+@functools.lru_cache(maxsize=None)
 def _engine_monomial(order: int, w: Weight, N: int) -> tuple:
     """Raw engine action on the single monomial z^w (natural normalization),
-    as (weight, integer κ-polynomial) pairs over the denominator N^order."""
+    as (weight, integer κ-polynomial) pairs over the denominator N^order.
+    f = z^w lifted is symmetric and the factors are S_N-equivariant, so the
+    terms with mom derivative factors are one product, (D_1..D_mom f) times
+    ``_gauge_weight``, summed over its C(N, mom) images (``_orbit_sum``)."""
     f = _elementary_product(N, w)
-    indices = range(1, N + 1)
-    groups: dict[int, list[XRational]] = {}
-    for shape in term_shapes(order):
-        parts = groups.setdefault(shape.mom, [])
-        for mset in itertools.combinations(indices, shape.mom):
-            g = f
-            for a in mset:
-                g = apply_momentum(g, a)
-            if g.is_zero:
-                continue
-            if shape.sign < 0:
-                g = -g
-            rest = [a for a in indices if a not in mset]
-            for bset in itertools.combinations(rest, shape.gauge):
-                term = XRational(g)
-                for a in bset:
-                    term = apply_gauge_potential(term, a)
-                if shape.curv:
-                    left = [a for a in rest if a not in bset]
-                    for vpair in itertools.combinations(left, 2):
-                        parts.append(term * pair_curvature(N, *vpair))
-                else:
-                    parts.append(term)
     # each mom fills the single κ power order - mom of every coefficient
     image: dict[Weight, list[int]] = {}
-    for mom, parts in groups.items():
+    for mom in range(order, 0, -1):
+        g = f
+        for a in range(1, mom + 1):
+            g = apply_momentum(g, a)
+        if g.is_zero:
+            continue
+        e, weight = _gauge_weight(order, mom, N)
         power = order - mom
         context = f"engine order {order}, weight {w}, N={N}, κ power {power}"
         try:
-            z = project(divide_exact(xr_sum(parts, N)))
+            z = project(divide_exact(_orbit_sum(g * weight, mom, e)))
         except (NonPolynomialOutput, NonSymmetricInput) as exc:
             raise type(exc)(f"{context}: {exc}") from exc
         grade = 2 ** mom * N ** power

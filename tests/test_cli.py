@@ -485,6 +485,25 @@ def test_console_entry_point():
     assert proc.stdout.strip() == "z1"
 
 
+def _run_module(*args):
+    src = str(Path(gegenlab.__file__).resolve().parents[1])
+    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "gegenlab", *args], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": pythonpath})
+
+
+def test_module_entry_point():
+    proc = _run_module("verify", "--suite", "appendix", "--rank", "3")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout
+
+
+def test_module_entry_point_bad_flag_is_a_usage_error():
+    proc = _run_module("gen", "--no-such-flag")
+    assert proc.returncode == 2
+    assert "gegenlab" in proc.stderr
+
+
 @pytest.mark.skipif(shutil.which("gegenlab") is None,
                     reason="gegenlab console script not on PATH (package not installed)")
 def test_installed_console_script():

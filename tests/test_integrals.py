@@ -25,8 +25,11 @@ from gegenlab.symfun import (
     XPolynomial,
     XRational,
     ZPolynomial,
+    _elementary_product,
     divide_exact,
+    project,
     weighted_degree,
+    xr_sum,
 )
 from gegenlab.integrals import (
     Calibration,
@@ -38,6 +41,7 @@ from gegenlab.integrals import (
     calibrate,
     char_apply,
     commutator_residual,
+    pair_curvature,
     pair_potential,
     term_shapes,
     transcribed_operator,
@@ -218,6 +222,16 @@ class TestApplyIntegral:
 class TestEngineErrors:
     """A failure inside the engine names the monomial it was computing."""
 
+    @pytest.fixture(autouse=True)
+    def _cold_engine(self):
+        # a warm gauge weight would hide a patched factor, and one built
+        # from a patched factor would poison every later image
+        for cache in (integrals._gauge_weight, integrals._engine_monomial):
+            cache.cache_clear()
+        yield
+        for cache in (integrals._gauge_weight, integrals._engine_monomial):
+            cache.cache_clear()
+
     @staticmethod
     def _assert_names_inputs(error, kappa_power):
         with pytest.raises(error) as err:
@@ -255,6 +269,61 @@ class TestEngineErrors:
 def _z_monomial_weights(rank, degree):
     return [w for w in itertools.product(range(degree + 1), repeat=rank)
             if weighted_degree(w) <= degree]
+
+
+def _placement_engine(order, w, N):
+    """The engine as one XRational per placement of the derivative, gauge
+    and curvature factors, raised to one common denominator by xr_sum for
+    each mom; the reference for the orbit sum of ``_engine_monomial``."""
+    f = _elementary_product(N, w)
+    indices = range(1, N + 1)
+    groups = {}
+    for shape in term_shapes(order):
+        parts = groups.setdefault(shape.mom, [])
+        for mset in itertools.combinations(indices, shape.mom):
+            g = f
+            for a in mset:
+                g = apply_momentum(g, a)
+            if g.is_zero:
+                continue
+            if shape.sign < 0:
+                g = -g
+            rest = [a for a in indices if a not in mset]
+            for bset in itertools.combinations(rest, shape.gauge):
+                term = XRational(g)
+                for a in bset:
+                    term = apply_gauge_potential(term, a)
+                if shape.curv:
+                    left = [a for a in rest if a not in bset]
+                    for vpair in itertools.combinations(left, 2):
+                        parts.append(term * pair_curvature(N, *vpair))
+                else:
+                    parts.append(term)
+    image = {}
+    for mom, parts in groups.items():
+        power = order - mom
+        for v, c in project(divide_exact(xr_sum(parts, N))).terms.items():
+            value = c.constant_value() * 2 ** mom * N ** power
+            assert value.denominator == 1
+            image.setdefault(v, [0] * order)[power] = int(value)
+    for cs in image.values():
+        while not cs[-1]:
+            cs.pop()
+    return tuple((v, tuple(cs)) for v, cs in image.items())
+
+
+class TestOrbitSum:
+    """The engine sums each mom once per index orbit; the sum over every
+    placement must give the same images, in the same order."""
+
+    def test_range_has_an_odd_denominator_power(self):
+        # the images of an odd power of V pick up the permutation's sign
+        assert integrals._gauge_weight(4, 3, 4)[0] == 1
+
+    @pytest.mark.parametrize("N,order", [(3, 2), (3, 3), (4, 2), (4, 3), (4, 4)])
+    def test_equals_the_placement_sum(self, N, order):
+        for w in _z_monomial_weights(N - 1, 3):
+            assert integrals._engine_monomial(order, w, N) == _placement_engine(order, w, N), w
 
 
 # (N, order) -> the weighted degree up to which the engine is checked against
@@ -430,6 +499,13 @@ class TestCalibration:
 
 
 class TestCommutators:
+    @pytest.mark.parametrize("order", [3, 4])
+    @pytest.mark.parametrize("w", _z_monomial_weights(4, 2), ids=str)
+    def test_five_particles_commute_with_closed_form_order_two(self, order, w):
+        p = ZPolynomial.monomial(4, w)
+        L2 = transcribed_operator(5, 2)
+        assert apply_integral(order, L2.apply(p), 5) == L2.apply(apply_integral(order, p, 5))
+
     def test_three_particles(self):
         rep = commutator_residual(2, 3, 3, 4)
         assert rep.is_zero and rep.max_norm == 0
