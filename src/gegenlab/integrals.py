@@ -19,13 +19,16 @@ one sign per term shape (``TermShape.sign``) and a factor 2 per derivative.
 So the x-space layer computes over the integers, one kappa power at a time.
 The lifted z-monomial f is symmetric and the momenta, the gauge rows and
 the curvature are S_N-equivariant, so the terms with mom derivative
-factors are summed once per index orbit: the derivatives on 1..mom times
-the signed sum of every gauge and curvature placement on the other
-indices, brought once over V^e with V = prod_{a<b} (x_a - x_b), is one
-product, and its C(N, mom) images under index permutations (times the
-permutation's sign when e is odd) are summed, divided exactly by V^e and
-projected to a z-polynomial Z_mom with integer coefficients.  The single
-assembly step
+factors are summed once per index orbit: the signed sum of every gauge and
+curvature placement on the indices mom+1..N reduces once to H / V, with
+V = prod_{a<b} (x_a - x_b) and H a polynomial, and the image is the sum of
+the C(N, mom) images of (D_1..D_mom f) * H / V under index permutations.
+Both factors have a sign under the swaps inside each block, so that sum is
+an alternant over V, and Jacobi's bialternant a_{λ+δ} / a_δ = s_λ
+(Macdonald I (3.1)) reads it as a sum of Schur polynomials, whose images
+are dual Jacobi–Trudi determinants in the z_i (I (3.5)).  Each mom gives
+a z-polynomial Z_mom with integer coefficients, with no exact division and
+no projection per image.  The single assembly step
 
     sum over mom of  kappa^(j - mom) * 2^mom * N^(j - mom) * Z_mom
 
@@ -86,12 +89,12 @@ from .symfun import (
     XPolynomial,
     XRational,
     ZPolynomial,
+    _add_term,
     _binomial_power,
     _coerce_scalar,
     _elementary_product,
     divide_exact,
     grlex_key,
-    project,
     weighted_degree,
     xr_sum,
 )
@@ -232,12 +235,15 @@ def _add_num(out: Numerators, key: Weight, c: IntPoly) -> None:
 
 
 @functools.lru_cache(maxsize=None)
-def _gauge_weight(order: int, mom: int, N: int) -> tuple[int, XPolynomial]:
+def _gauge_weight(order: int, mom: int, N: int) -> tuple:
     """The signed sum of the gauge and curvature factors that multiply
     D_1..D_mom f in the order-j terms with mom derivative factors, placed
-    on the indices mom+1..N, as (e, P) for P / V^e: V is the product of
-    every x_a - x_b, a < b, and e the largest power of a pair factor.
-    It does not depend on f, and a permutation σ takes V^e to sgn(σ)^e V^e."""
+    on the indices mom+1..N, as H / V: V is the product of every x_a - x_b,
+    a < b.  Every pair inside one block, 1..mom or mom+1..N, cancels from
+    the denominator and every pair across keeps power 1, so H is a
+    polynomial that changes sign under each swap inside a block.  It does
+    not depend on f, and is returned as the (exponent, coefficient) terms
+    of H whose exponents strictly decrease on each block."""
     rest = range(mom + 1, N + 1)
     parts = []
     for shape in term_shapes(order):
@@ -255,43 +261,63 @@ def _gauge_weight(order: int, mom: int, N: int) -> tuple[int, XPolynomial]:
             else:
                 parts.append(term)
     weight = xr_sum(parts, N)
-    e = max(weight.den_pairs.values(), default=0)
-    num = weight.num
+    num, excess = weight.num, {}
     for a, b in itertools.combinations(range(1, N + 1), 2):
-        k = e - weight.den_pairs.get((a, b), 0)
-        if k:
-            num = num * _binomial_power(N, a, b, k)
-    return e, num
+        k = weight.den_pairs.get((a, b), 0)
+        if k == 0:
+            num = num * _binomial_power(N, a, b, 1)
+        elif k > 1:
+            excess[a, b] = k - 1
+    if excess:
+        num = divide_exact(XRational(num, excess))
+    swaps = [j for j in range(1, N) if j != mom]
+    viol = num.swap_violation(swaps, -1)
+    if viol is not None:
+        raise NonSymmetricInput(f"gauge weight of {mom} derivative factors not"
+                                f" antisymmetric under x_{viol[0]} <-> x_{viol[1]}")
+    return tuple((e, c) for e, c in num.terms.items()
+                 if all(e[j - 1] > e[j] for j in swaps))
 
 
-def _orbit_sum(g: XPolynomial, mom: int, e: int) -> XRational:
-    """The sum over every mom-subset S of the image of g / V^e under the
-    permutation taking 1..mom to S and mom+1..N to the rest, both in order;
-    V^e picks up the permutation's sign e times."""
-    N = g.nvars
-    terms = list(g.terms.items())
-    negated = [(ex, -c) for ex, c in terms] if e % 2 else terms
-    out: dict[tuple, int] = {}
-    for subset in itertools.combinations(range(N), mom):
-        perm = subset + tuple(i for i in range(N) if i not in subset)
-        inverse = operator.itemgetter(*map(perm.index, range(N)))
-        odd = sum(s - i for i, s in enumerate(subset)) % 2  # inversions of perm
-        for ex, c in negated if odd else terms:
-            key = inverse(ex)
-            out[key] = out.get(key, 0) + c
-    num = XPolynomial._raw(N, {ex: c for ex, c in out.items() if c})
-    return XRational(num, dict.fromkeys(itertools.combinations(range(1, N + 1), 2), e))
+@functools.lru_cache(maxsize=None)
+def _schur_image(lam: Weight, N: int) -> tuple:
+    """The Schur polynomial s_λ of a partition with N parts, in z_1..z_{N-1}
+    with e_N = 1, as (weight, integer) pairs: the dual Jacobi–Trudi
+    determinant det(e_{λ'_i - i + j}) of λ less its last part (Macdonald I
+    (3.5)), expanded row by row over the set of columns used."""
+    conj = [sum(1 for p in lam if p > i) for i in range(lam[-1], lam[0])]
+    minors = {0: {(0,) * (N - 1): 1}}  # columns used, as a bit mask -> minor
+    for i, length in enumerate(conj):
+        grown: dict[int, dict] = {}
+        for used, minor in minors.items():
+            for j in range(len(conj)):
+                k = length - i + j  # the entry e_k
+                if used >> j & 1 or not 0 <= k <= N:
+                    continue
+                sign = -1 if (used >> j).bit_count() % 2 else 1
+                out = grown.setdefault(used | 1 << j, {})
+                for v, c in minor.items():
+                    if 0 < k < N:
+                        v = v[:k - 1] + (v[k - 1] + 1,) + v[k:]
+                    _add_term(out, v, sign * c)
+        minors = grown
+    return tuple(minors.get((1 << len(conj)) - 1, {}).items())
 
 
 @functools.lru_cache(maxsize=None)
 def _engine_monomial(order: int, w: Weight, N: int) -> tuple:
     """Raw engine action on the single monomial z^w (natural normalization),
-    as (weight, integer κ-polynomial) pairs over the denominator N^order.
-    f = z^w lifted is symmetric and the factors are S_N-equivariant, so the
-    terms with mom derivative factors are one product, (D_1..D_mom f) times
-    ``_gauge_weight``, summed over its C(N, mom) images (``_orbit_sum``)."""
+    as (weight, integer κ-polynomial) pairs over the denominator N^order,
+    sorted by weight.  f = z^w lifted is symmetric and the factors are
+    S_N-equivariant, so the terms with mom derivative factors sum to the
+    C(N, mom) index-set images of g * H / V, for g = D_1..D_mom f and H / V
+    the ``_gauge_weight``.  g is symmetric and H antisymmetric on each
+    block, so that sum is A / V with A = sum c*d*a_{β+γ} over the kept terms
+    c*x^β of H and every term d*x^γ of g, where a_v is the alternant of x^v:
+    zero when v has a repeated entry, and sgn * a_α for α = sort(v)
+    otherwise.  A / V is the sum of A_α s_{α-δ}, read off ``_schur_image``."""
     f = _elementary_product(N, w)
-    # each mom fills the single κ power order - mom of every coefficient
+    delta = range(N - 1, -1, -1)
     image: dict[Weight, list[int]] = {}
     for mom in range(order, 0, -1):
         g = f
@@ -299,23 +325,40 @@ def _engine_monomial(order: int, w: Weight, N: int) -> tuple:
             g = apply_momentum(g, a)
         if g.is_zero:
             continue
-        e, weight = _gauge_weight(order, mom, N)
         power = order - mom
         context = f"engine order {order}, weight {w}, N={N}, κ power {power}"
         try:
-            z = project(divide_exact(_orbit_sum(g * weight, mom, e)))
+            weight = _gauge_weight(order, mom, N)
+            viol = g.swap_violation(j for j in range(1, N) if j != mom)
+            if viol is not None:
+                raise NonSymmetricInput(f"D_1..D_{mom} f not symmetric under"
+                                        f" x_{viol[0]} <-> x_{viol[1]}")
         except (NonPolynomialOutput, NonSymmetricInput) as exc:
             raise type(exc)(f"{context}: {exc}") from exc
+        alternant: dict[tuple, int] = {}
+        for beta, c in weight:
+            for gamma, d in g.terms.items():
+                v = tuple(map(operator.add, beta, gamma))
+                if len(set(v)) < N:
+                    continue
+                odd = sum(a < b for a, b in itertools.combinations(v, 2)) % 2
+                alpha = tuple(sorted(v, reverse=True))
+                alternant[alpha] = alternant.get(alpha, 0) + (-c * d if odd else c * d)
+        z: dict[Weight, int] = {}
+        for alpha, a in alternant.items():
+            if a:
+                for v, s in _schur_image(tuple(map(operator.sub, alpha, delta)), N):
+                    z[v] = z.get(v, 0) + a * s
         grade = 2 ** mom * N ** power
-        for v, c in z.terms.items():
-            n, d = _cleared(c)
-            if d != _ONE or len(n) != 1:
+        for v, c in z.items():
+            if not isinstance(c, int):
                 raise EngineError(f"{context}: coefficient {c!r} is not an integer")
-            image.setdefault(v, [0] * order)[power] = grade * n[0]
+            if c:
+                image.setdefault(v, [0] * order)[power] = grade * c
     for cs in image.values():
         while not cs[-1]:
             cs.pop()
-    return tuple((v, tuple(cs)) for v, cs in image.items())
+    return tuple(sorted((v, tuple(cs)) for v, cs in image.items()))
 
 
 def _split(p: ZPolynomial) -> tuple[Numerators, IntPoly]:

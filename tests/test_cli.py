@@ -485,10 +485,10 @@ def test_console_entry_point():
     assert proc.stdout.strip() == "z1"
 
 
-def _run_module(*args):
+def _run_module(*args, module="gegenlab"):
     src = str(Path(gegenlab.__file__).resolve().parents[1])
     pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, "-m", "gegenlab", *args], capture_output=True,
+    return subprocess.run([sys.executable, "-m", module, *args], capture_output=True,
                           text=True, env={**os.environ, "PYTHONPATH": pythonpath})
 
 
@@ -500,6 +500,18 @@ def test_module_entry_point():
 
 def test_module_entry_point_bad_flag_is_a_usage_error():
     proc = _run_module("gen", "--no-such-flag")
+    assert proc.returncode == 2
+    assert "gegenlab" in proc.stderr
+
+
+def test_cli_module_entry_point():
+    proc = _run_module("gen", "--rank", "2", "--weight", "1,0", module="gegenlab.cli")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "z1"
+
+
+def test_cli_module_bad_flag_is_a_usage_error():
+    proc = _run_module("gen", "--no-such-flag", module="gegenlab.cli")
     assert proc.returncode == 2
     assert "gegenlab" in proc.stderr
 

@@ -1,6 +1,7 @@
 """Operator engine: coordinate dictionary, integral actions, transcriptions,
 characteristic operator, commutativity."""
 import copy
+import functools
 import itertools
 import math
 import numbers
@@ -224,12 +225,13 @@ class TestEngineErrors:
 
     @pytest.fixture(autouse=True)
     def _cold_engine(self):
-        # a warm gauge weight would hide a patched factor, and one built
-        # from a patched factor would poison every later image
-        for cache in (integrals._gauge_weight, integrals._engine_monomial):
+        # a warm cache would hide a patched factor, and one filled from a
+        # patched factor would poison every later image
+        caches = [f for f in vars(integrals).values() if hasattr(f, "cache_clear")]
+        for cache in caches:
             cache.cache_clear()
         yield
-        for cache in (integrals._gauge_weight, integrals._engine_monomial):
+        for cache in caches:
             cache.cache_clear()
 
     @staticmethod
@@ -246,13 +248,21 @@ class TestEngineErrors:
         self._assert_names_inputs(NonPolynomialOutput, 2)
 
     def test_asymmetric_quotient(self, monkeypatch):
-        monkeypatch.setattr(integrals, "divide_exact",
-                            lambda f: XPolynomial.variable(f.nvars, 1))
+        # every pair factor x_a - x_b that brings the gauge weight over V
+        # becomes x_a, so H = x_1^2 x_2 has no sign under x_1 <-> x_2
+        monkeypatch.setattr(integrals, "_binomial_power",
+                            lambda n, a, b, k: XPolynomial.variable(n, a))
+        self._assert_names_inputs(NonSymmetricInput, 0)
+
+    def test_asymmetric_derivative_image(self, monkeypatch):
+        monkeypatch.setattr(integrals, "_elementary_product",
+                            lambda n, w: XPolynomial.variable(n, 1))
         self._assert_names_inputs(NonSymmetricInput, 0)
 
     def test_fractional_projection(self, monkeypatch):
-        monkeypatch.setattr(integrals, "project",
-                            lambda f: ZPolynomial(f.nvars - 1, {(1, 0): kr(1, 2)}))
+        # the z-image of the Schur polynomial that the alternant reads off
+        monkeypatch.setattr(integrals, "_schur_image",
+                            lambda lam, N: (((1, 0), Fraction(1, 2)),))
         self._assert_names_inputs(EngineError, 0)
 
     def test_calibration_offset_with_kappa_denominator(self, monkeypatch):
@@ -271,10 +281,12 @@ def _z_monomial_weights(rank, degree):
             if weighted_degree(w) <= degree]
 
 
+@functools.lru_cache(maxsize=None)
 def _placement_engine(order, w, N):
     """The engine as one XRational per placement of the derivative, gauge
     and curvature factors, raised to one common denominator by xr_sum for
-    each mom; the reference for the orbit sum of ``_engine_monomial``."""
+    each mom, divided exactly and projected; the reference for the
+    alternant sum of ``_engine_monomial``."""
     f = _elementary_product(N, w)
     indices = range(1, N + 1)
     groups = {}
@@ -312,23 +324,128 @@ def _placement_engine(order, w, N):
     return tuple((v, tuple(cs)) for v, cs in image.items())
 
 
+def _gauge_value(order, mom, N, xs):
+    """The gauge and curvature factors of the order-j terms with mom
+    derivative factors, summed over their placements on mom+1..N, at the
+    point xs."""
+    def row(b):
+        return sum((xs[b] + xs[k]) / (xs[b] - xs[k]) for k in range(N) if k != b)
+
+    rest = range(mom, N)
+    total = Fraction(0)
+    for shape in term_shapes(order):
+        if shape.mom != mom:
+            continue
+        for bset in itertools.combinations(rest, shape.gauge):
+            term = shape.sign * math.prod(map(row, bset))
+            if shape.curv:
+                left = [a for a in rest if a not in bset]
+                term *= sum(-4 * xs[a] * xs[b] / (xs[a] - xs[b]) ** 2
+                            for a, b in itertools.combinations(left, 2))
+            total += term
+    return total
+
+
+def _block_alternant(terms, mom, N, xs):
+    """sum c * sgn(τ) * x^(τβ) over the kept terms (β, c) and every
+    permutation τ of 1..mom and of mom+1..N, at the point xs."""
+    total = Fraction(0)
+    for head in itertools.permutations(range(mom)):
+        for tail in itertools.permutations(range(mom, N)):
+            perm = head + tail
+            odd = sum(a > b for a, b in itertools.combinations(perm, 2)) % 2
+            for beta, c in terms:
+                value = c * math.prod(xs[perm[i]] ** k for i, k in enumerate(beta))
+                total += -value if odd else value
+    return total
+
+
+# N -> the weighted degree up to which the engine is checked against the
+# placement sum, on every monomial and on drawn ones; the reference's cold
+# cost grows steeply with N
+_PLACEMENT_DEGREE = {3: 3, 4: 3, 5: 2}
+_DRAWN_DEGREE = {3: 6, 4: 4, 5: 2}
+
+
+@st.composite
+def _placement_case(draw):
+    N = draw(st.sampled_from(sorted(_DRAWN_DEGREE)))
+    order = draw(st.integers(2, min(N, 4)))
+    return order, draw(st.sampled_from(_z_monomial_weights(N - 1, _DRAWN_DEGREE[N]))), N
+
+
 class TestOrbitSum:
-    """The engine sums each mom once per index orbit; the sum over every
-    placement must give the same images, in the same order."""
+    """The engine sums each mom once per index orbit and reads the sum off
+    alternants; the sum over every placement must give the same images."""
 
     def test_range_has_an_odd_denominator_power(self):
-        # the images of an odd power of V pick up the permutation's sign
-        assert integrals._gauge_weight(4, 3, 4)[0] == 1
+        # every gauge weight is H / V, one odd power of V, so the images
+        # pick up the permutation's sign once
+        rng = random.Random(7)
+        for N in (3, 4, 5):
+            xs = [Fraction(rng.randrange(1, 50), rng.randrange(1, 9)) for _ in range(N)]
+            assert len(set(xs)) == N
+            vandermonde = math.prod(a - b for a, b in itertools.combinations(xs, 2))
+            for order in range(2, min(N, 4) + 1):
+                for mom in range(1, order + 1):
+                    terms = integrals._gauge_weight(order, mom, N)
+                    assert (_gauge_value(order, mom, N, xs) * vandermonde
+                            == _block_alternant(terms, mom, N, xs)), (order, mom, N)
 
-    @pytest.mark.parametrize("N,order", [(3, 2), (3, 3), (4, 2), (4, 3), (4, 4)])
+    @pytest.mark.parametrize("N,order", [(3, 2), (3, 3), (4, 2), (4, 3), (4, 4),
+                                         (5, 2), (5, 3), (5, 4)])
     def test_equals_the_placement_sum(self, N, order):
-        for w in _z_monomial_weights(N - 1, 3):
-            assert integrals._engine_monomial(order, w, N) == _placement_engine(order, w, N), w
+        for w in _z_monomial_weights(N - 1, _PLACEMENT_DEGREE[N]):
+            image = integrals._engine_monomial(order, w, N)
+            assert [v for v, _ in image] == sorted(v for v, _ in image)
+            assert dict(image) == dict(_placement_engine(order, w, N)), w
+
+    @settings(max_examples=30, deadline=None, database=None)
+    @given(_placement_case())
+    def test_drawn_monomial_equals_the_placement_sum(self, case):
+        assert (dict(integrals._engine_monomial.__wrapped__(*case))
+                == dict(_placement_engine(*case)))
+
+
+def _alternant(v):
+    """a_v = sum sgn(σ) x^(σv) over every permutation σ."""
+    terms = {}
+    for perm in itertools.permutations(range(len(v))):
+        odd = sum(a > b for a, b in itertools.combinations(perm, 2)) % 2
+        terms[tuple(v[p] for p in perm)] = -1 if odd else 1
+    return XPolynomial(len(v), terms)
+
+
+class TestSchurImage:
+    """The engine's table of Schur polynomials against the bialternant
+    a_{λ+δ} / a_δ, divided exactly and projected."""
+
+    @pytest.mark.parametrize("N", [3, 4, 5])
+    def test_equals_the_projected_bialternant(self, N):
+        pairs = dict.fromkeys(itertools.combinations(range(1, N + 1), 2), 1)
+        for size in range(7):
+            for lam in _partitions(size, N):
+                quotient = divide_exact(XRational(
+                    _alternant([p + N - 1 - i for i, p in enumerate(lam)]), pairs))
+                image = integrals._schur_image(lam, N)
+                assert all(type(c) is int for _, c in image)
+                assert ZPolynomial(N - 1, {v: kr(c) for v, c in image}) == project(quotient), lam
+
+
+def _partitions(size, parts, largest=None):
+    """The partitions of size into at most parts parts, padded with zeros."""
+    if largest is None:
+        largest = size
+    if parts == 0:
+        return [()] if size == 0 else []
+    return [(first,) + rest for first in range(min(size, largest), -1, -1)
+            for rest in _partitions(size - first, parts - 1, first)]
 
 
 # (N, order) -> the weighted degree up to which the engine is checked against
 # the closed form; the engine's cold cost grows steeply with N
-_ENGINE_DEGREE = {(2, 2): 6, (3, 2): 6, (3, 3): 6, (4, 2): 6, (5, 2): 3, (6, 2): 2}
+_ENGINE_DEGREE = {(2, 2): 6, (3, 2): 6, (3, 3): 6, (4, 2): 6, (5, 2): 3, (6, 2): 3,
+                  (7, 2): 2}
 
 
 @st.composite
@@ -438,7 +555,8 @@ class TestTranscription:
                         total = total + KappaPolynomial.linear(c, slope).scale(factor)
                 assert total == gegenbauer.epsilon2(m, N), (m, N)
 
-    @pytest.mark.parametrize("N,order", [(3, 2), (3, 3), (4, 2), (2, 2), (5, 2), (6, 2)])
+    @pytest.mark.parametrize("N,order", [(3, 2), (3, 3), (4, 2), (2, 2), (5, 2), (6, 2),
+                                         (7, 2)])
     def test_engine_matches_transcription(self, N, order):
         rank = N - 1
         degree = min(4, _ENGINE_DEGREE[N, order])
