@@ -26,11 +26,11 @@ print("  polynomial:", zpoly_text(P))
 for power, (c, e) in enumerate(zip(coeffs, spectrum)):
     match = "ok" if c == P.scale(e) else "MISMATCH"
     print(f"  t^{power}: coefficient is eigenvalue*P -> {match}"
-          f"   (eigenvalue {kr_str(e) if not e.is_zero else '0'})")
+          f"   (eigenvalue {kr_str(e)})")
 
 print()
 print("=" * 70)
 print("Four-particle vacuum: product of (t - l_j) with l = (3k, k, -k, -3k)")
 print("=" * 70)
 for power, e in enumerate(char_eigenvalue((0, 0, 0), 4)):
-    print(f"  t^{power}: {kr_str(e) if not e.is_zero else '0'}")
+    print(f"  t^{power}: {kr_str(e)}")

@@ -8,6 +8,10 @@ Two independent generation routes are provided:
 * ``gen_recurrence`` builds the family inductively from the closed-form
   multiplication rules for z_1, z_2, z_3 (N = 3 and 4).
 
+Both routes and ``expand_product``'s peel of z_r·P_m in the P basis run on
+factored values (``scalars._fmul``); each cached P_m keeps its split into
+reduced factored values beside its z-polynomial, so none takes a polynomial gcd.
+
 On top of these sit the spectral vectors of the characteristic operator,
 the closed-form recurrence coefficients, and the raising/lowering (step)
 operators together with their proportionality factors.
@@ -29,20 +33,21 @@ from .scalars import (
     KappaRational,
     SpectralDegeneracy,
     _affine,
-    _cleared,
+    _canonical,
     _cofactor,
     _factored,
     _fadd,
     _fmul,
     _from_factored,
     _pmul,
-    _trial_factor,
+    _reduced,
     kr,
     lin,
 )
 from .symfun import (
     Weight,
     ZPolynomial,
+    dominance_key,
     dominated_weights,
 )
 from . import integrals as _integrals
@@ -52,9 +57,12 @@ class ShiftNotTabulated(ValueError):
     """Raised when a step-operator shift has no closed-form entry."""
 
 
-def _require_dominant(m: Weight):
+def _require_dominant(m: Weight, N: int):
+    """A ValueError unless m is a dominant weight of rank N - 1."""
     if len(m) < 1 or any((e < 0 or not isinstance(e, int)) for e in m):
         raise ValueError(f"{m} is not a dominant weight")
+    if len(m) != N - 1:
+        raise ValueError(f"weight {m} has rank {len(m)}, expected {N - 1}")
 
 
 # ---------------------------------------------------------------------------
@@ -63,10 +71,7 @@ def _require_dominant(m: Weight):
 
 def epsilon2(m: Weight, N: int) -> KappaPolynomial:
     """Excitation eigenvalue of the order-2 integral: affine in κ."""
-    _require_dominant(m)
-    n = N - 1
-    if len(m) != n:
-        raise ValueError(f"weight {m} has rank {len(m)}, expected {n}")
+    _require_dominant(m, N)
     const, slope = _scaled_epsilon2(m, N)
     return KappaPolynomial.linear(Fraction(const, N), Fraction(slope, N))
 
@@ -96,6 +101,8 @@ class LVector:
 
     def component(self, j: int) -> KappaRational:
         """1-based affine component as a scalar."""
+        if not 1 <= j <= self.N:
+            raise ValueError(f"component {j} out of range 1..{self.N}")
         return lin(*self.entries[j - 1])
 
     def polynomials(self) -> tuple[KappaPolynomial, ...]:
@@ -107,10 +114,8 @@ class LVector:
 
 def l_vector(m: Weight, N: int) -> LVector:
     """Spectral vector: twice the κ-shifted weight in the N-dim realization."""
-    _require_dominant(m)
+    _require_dominant(m, N)
     n = N - 1
-    if len(m) != n:
-        raise ValueError(f"weight {m} has rank {len(m)}, expected {n}")
     base = sum((N - kk) * m[kk - 1] for kk in range(1, n + 1))
     entries = []
     for j in range(1, N + 1):
@@ -202,8 +207,38 @@ def l_shift(m: Weight, s: Weight, N: int) -> LVector:
 
 
 # ---------------------------------------------------------------------------
-# generation: eigen route
+# generation: eigen route, on z-polynomials split into factored values
 # ---------------------------------------------------------------------------
+
+def _settle(rank: int, values: dict) -> tuple:
+    """The z-polynomial of factored coefficients, each reduced once, and its
+    read-only split into the reduced values: what the generation caches keep."""
+    split = {w: _reduced(*v) for w, v in values.items() if v[0]}
+    return (ZPolynomial._raw(rank, {w: _canonical(*v) for w, v in split.items()}),
+            types.MappingProxyType(split))
+
+
+def _times_z(r: int, split) -> dict:
+    """z_r times a split z-polynomial: z_r only shifts the exponents."""
+    return {w[:r - 1] + (w[r - 1] + 1,) + w[r:]: v for w, v in split.items()}
+
+
+def _minus(x: tuple) -> tuple:
+    """The negative of a factored value."""
+    num, scale, factors = x
+    return num, -scale, factors
+
+
+def _peel(work: dict, c: tuple, split) -> None:
+    """work -= c · split, in place on factored values; zeros are dropped."""
+    c = _minus(c)
+    for w, v in split.items():
+        acc = _fmul(c, v) if w not in work else _fadd(work[w], _fmul(c, v))
+        if acc[0]:
+            work[w] = acc
+        else:
+            del work[w]
+
 
 def gen_eigen(m: Weight, N: Optional[int] = None,
               kappa: Optional[Fraction] = None) -> ZPolynomial:
@@ -218,36 +253,29 @@ def gen_eigen(m: Weight, N: Optional[int] = None,
     two eigenvalues of the dominance cone collide at that coupling.
     """
     m = tuple(m)
-    _require_dominant(m)
-    if N is None:
-        N = len(m) + 1
-    if len(m) != N - 1:
-        raise ValueError(f"weight {m} has rank {len(m)}, expected {N - 1}")
+    N = len(m) + 1 if N is None else N
+    _require_dominant(m, N)
     if kappa is None:
-        return _symbolic_eigen(m, N)
-    return _solve_eigen(m, N, Fraction(kappa))
+        return _symbolic_eigen(m, N)[0]
+    kappa = Fraction(kappa)
+    return _solve_eigen(m, N, kappa)[0].substitute_kappa(kappa)
 
 
 @functools.lru_cache(maxsize=None)
-def _symbolic_eigen(m: Weight, N: int) -> ZPolynomial:
+def _symbolic_eigen(m: Weight, N: int) -> tuple:
+    """P_m and its reduced split (``_settle``)."""
     return _solve_eigen(m, N, None)
 
 
-def _cone_gaps(m: Weight, N: int) -> tuple[list[Weight], dict]:
-    """The dominance cone of m, leading-first, and the integer affine gap
-    N(ε(m) − ε(μ)) of each μ below m in it."""
-    cone = dominated_weights(m)
-    top = _scaled_epsilon2(m, N)
-    return cone, {w: tuple(a - b for a, b in zip(top, _scaled_epsilon2(w, N)))
-                  for w in cone[1:]}
-
-
-def _solve_eigen(m: Weight, N: int, kappa: Optional[Fraction]) -> ZPolynomial:
+def _solve_eigen(m: Weight, N: int, kappa: Optional[Fraction]) -> tuple:
     """Triangular solve on order2_terms(N): the diagonal entries are epsilon2,
     and each solved coefficient pushes the integer rest down the cone.  The
     pushes are factored values (scalars._fadd); solving μ divides by
-    N(ε(m) − ε(μ)), which is an integer affine gap."""
-    cone, gaps = _cone_gaps(m, N)
+    N(ε(m) − ε(μ)), an integer affine gap.  A numeric κ only checks the gaps."""
+    cone = dominated_weights(m)
+    top = _scaled_epsilon2(m, N)
+    gaps = {w: tuple(a - b for a, b in zip(top, _scaled_epsilon2(w, N)))
+            for w in cone[1:]}
     if kappa is not None and any(a + b * kappa == 0 for a, b in gaps.values()):
         raise SpectralDegeneracy(f"spectral degeneracy at κ={kappa}")
     lowering = [(c, mult, deriv) for (c, _), mult, deriv
@@ -275,8 +303,7 @@ def _solve_eigen(m: Weight, N: int, kappa: Optional[Fraction]) -> ZPolynomial:
                 pushed[nu] = term if acc is None else _fadd(acc, term)
     if pushed:  # fed after its solve, or outside the cone
         raise _integrals.EngineError(f"triangularity violated: {m} feeds {sorted(pushed)}")
-    poly = ZPolynomial(N - 1, {w: _from_factored(*v) for w, v in solved.items()})
-    return poly if kappa is None else poly.substitute_kappa(kappa)
+    return _settle(N - 1, solved)
 
 
 # ---------------------------------------------------------------------------
@@ -367,35 +394,31 @@ def gen_recurrence(m: Weight, N: Optional[int] = None) -> ZPolynomial:
     """Build P_m from P_0 = 1 by the closed-form multiplication rules,
     solving each rule for its top term; N in RECURRENCE_ROWS."""
     m = tuple(m)
-    _require_dominant(m)
-    if N is None:
-        N = len(m) + 1
+    N = len(m) + 1 if N is None else N
+    _require_dominant(m, N)
     _integrals.covered(RECURRENCE_ROWS, N, "recurrence generation")
-    if len(m) != N - 1:
-        raise ValueError(f"weight {m} has rank {len(m)}, expected {N - 1}")
-    return _gen_recurrence_inner(m, N)
+    return _gen_recurrence_inner(m, N)[0]
 
 
 @functools.lru_cache(maxsize=None)
-def _gen_recurrence_inner(m: Weight, N: int) -> ZPolynomial:
+def _gen_recurrence_inner(m: Weight, N: int) -> tuple:
+    """P_m by recurrence and its reduced split (``_settle``)."""
     rank = N - 1
-    if all(e == 0 for e in m):
-        return ZPolynomial.one(rank)
+    if not any(m):
+        return _settle(rank, {m: ((1,), 1, Counter())})
     # solve the rule for z_1, else z_rank, else z_2: its top term
     # P_{source + e_r} is P_m
     r = 1 if m[0] else rank if m[-1] else 2
     source = tuple(e - (i == r - 1) for i, e in enumerate(m))
-    base = _gen_recurrence_inner(source, N)
-    zr = ZPolynomial.variable(rank, r)
-    acc = zr * base
+    work = _times_z(r, _gen_recurrence_inner(source, N)[1])
     for shift, (kind, indices) in RECURRENCE_ROWS[N][r](*source):
         target = tuple(a + b for a, b in zip(source, shift))
         if any(e < 0 for e in target):
             continue  # labels with negative entries are the zero polynomial
-        coeff = recurrence_coefficient(kind, indices)
-        if not coeff.is_zero:
-            acc = acc - _gen_recurrence_inner(target, N).scale(coeff)
-    return acc
+        coeff = _reduced(*_rc(kind, *indices))
+        if coeff[0]:
+            _peel(work, coeff, _gen_recurrence_inner(target, N)[1])
+    return _settle(rank, work)
 
 
 # ---------------------------------------------------------------------------
@@ -409,26 +432,26 @@ class DecompositionError(ArithmeticError):
 def expand_product(r: int, m: Weight, N: int) -> dict[Weight, KappaRational]:
     """Exact decomposition of z_r * P_m in the P basis, keyed by the net
     shift; every admissible shift of r elementary steps gets an entry
-    (zero when absent)."""
+    (zero when absent).  Each coefficient is reduced once."""
     m = tuple(m)
-    _require_dominant(m)
+    _require_dominant(m, N)
     n = N - 1
     if not 1 <= r <= n:
         raise ValueError(f"z_{r} out of range for rank {n}")
     admissible = [_mu_sum(sub, n)
                   for sub in itertools.combinations(range(1, N + 1), r)]
-    work = ZPolynomial.variable(n, r) * gen_eigen(m, N)
+    work = _times_z(r, _symbolic_eigen(m, N)[1])
     result: dict[Weight, KappaRational] = {}
-    while not work.is_zero:
-        nu = work.leading_weight()
+    while work:
+        nu = max(work, key=dominance_key)
         shift = tuple(a - b for a, b in zip(nu, m))
         if shift not in admissible:
             raise DecompositionError(
                 f"leading weight {nu} is not an admissible target of z_{r}*P_{m}"
                 f" at N={N}")
-        c = work.coefficient(nu)
-        work = work - gen_eigen(nu, N).scale(c)
-        result[shift] = c
+        c = _reduced(*work[nu])
+        _peel(work, c, _symbolic_eigen(nu, N)[1])  # P_nu is monic: work[nu] cancels
+        result[shift] = _canonical(*c)
     for shift in admissible:
         result.setdefault(shift, KappaRational.zero())
     return result
@@ -442,23 +465,13 @@ def expand_product(r: int, m: Weight, N: int) -> dict[Weight, KappaRational]:
 def _shifted_delta(m: Weight, N: int, r: int):
     """The Δ(t) coefficients of z_r · P_m, read-only, from integrals._delta:
     (coefficients of t^0 .. t^N, M, scale, factors), each coefficient a
-    mapping of integer numerators over M · scale · Π f^k.
-
-    scale · Π f^k is the common denominator of P_m, kept factored: each
-    canonical denominator is an integer times affine gaps of m's cone, so
-    trial division against those recovers it, with no polynomial gcd."""
-    _, gaps = _cone_gaps(m, N)
-    candidates = {_affine(*g)[1] for g in gaps.values()}
-    split = {}
-    for w, c in _symbolic_eigen(m, N).terms.items():
-        num, den = _cleared(c)
-        split[w] = (num, *_trial_factor(den, candidates))
+    mapping of integer numerators over M · scale · Π f^k, the common
+    denominator of P_m's reduced split kept factored."""
+    split = _symbolic_eigen(m, N)[1]
     scale = math.lcm(*(c for _, c, _ in split.values()))
     factors = functools.reduce(operator.or_, (f for _, _, f in split.values()))
-    # z_r only shifts the exponents
-    nums = {w[:r - 1] + (w[r - 1] + 1,) + w[r:]:
-            _pmul(num, _cofactor(scale // c, factors - f))
-            for w, (num, c, f) in split.items()}
+    nums = {w: _pmul(num, _cofactor(scale // c, factors - f))
+            for w, (num, c, f) in _times_z(r, split).items()}
     coeffs, M = _integrals._delta(nums, N)
     return (tuple(map(types.MappingProxyType, coeffs)), M, scale,
             types.MappingProxyType(factors))
@@ -480,7 +493,7 @@ def step(m: Weight, s: Weight, N: int) -> tuple[ZPolynomial, KappaRational]:
     """
     m = tuple(m)
     s = tuple(s)
-    _require_dominant(m)
+    _require_dominant(m, N)
     _integrals.covered(_integrals.CALIBRATION_WEIGHT, N, "step operators")
     sign, subset, r = shift_decompose(s, N)
     rank = N - 1
@@ -517,12 +530,6 @@ def step(m: Weight, s: Weight, N: int) -> tuple[ZPolynomial, KappaRational]:
 # ---------------------------------------------------------------------------
 # closed-form step factors, as factored values (scalars._factored)
 # ---------------------------------------------------------------------------
-
-def _minus(x: tuple) -> tuple:
-    """The negative of a factored value."""
-    num, scale, factors = x
-    return num, -scale, factors
-
 
 def _pair_norm(a: int, b: int) -> tuple:
     """8 (a+b+2κ)(a+κ): single-shift normalization for three particles."""
@@ -615,7 +622,7 @@ def sigma_closed_form(m: Weight, s: Weight, N: int) -> KappaRational:
     """Closed-form proportionality factor of the step operator for shift s."""
     m = tuple(m)
     s = tuple(s)
-    _require_dominant(m)
+    _require_dominant(m, N)
     fn = _integrals.covered(SIGMA_TABLES, N, "step tables").get(s)
     if fn is None:
         raise ShiftNotTabulated(f"shift {s} has no tabulated step operator")

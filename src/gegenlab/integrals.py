@@ -46,10 +46,11 @@ offsets and t = a/b are cleared to integers and multiplied into the
 numerators; their denominators N^j, the calibration's integer factor and
 b^N go into D.  Only each output coefficient is reduced, once, as a
 KappaRational numerator / D, with no polynomial gcd when D is a constant.
-The step operators go further: they keep P_m's denominator factored, reuse
-the Δ coefficients of z_r·P_m (``gegenbauer._shifted_delta``), and reduce
-σ, read off by ``_ratio``, by trial division (``scalars._from_factored``),
-so they take no polynomial gcd at all.
+The step operators go further: they read P_m's denominator, kept factored,
+off the reduced split that ``gegenbauer._symbolic_eigen`` caches, reuse the
+Δ coefficients of z_r·P_m (``gegenbauer._shifted_delta``), and reduce σ,
+read off by ``_ratio``, by trial division (``scalars._from_factored``), so
+they take no polynomial gcd at all.
 
 ``apply_integral(2, . )`` is normalized to have the non-negative spectrum
 (its eigenvalue on an eigenpolynomial is the excitation energy); higher

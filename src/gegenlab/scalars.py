@@ -29,10 +29,10 @@ and the cofactors over it.  The eigen-solve, the closed forms and the step
 operators' σ run on factored values: an integer numerator over an integer
 scale times a multiset of primitive affine factors a + bκ.  ``_factored``
 builds one from affine factors, ``_fmul`` multiplies and ``_fadd`` adds two
-over the max of their multisets; ``_trial_factor`` recovers the factored
-form of an integer denominator from candidate factors, and
-``_from_factored`` cancels each factor by trial division and returns the
-canonical KappaRational.  None of them takes a polynomial gcd.
+over the max of their multisets; ``_reduced`` cancels each factor by
+trial division and divides out the joint integer content, ``_canonical``
+builds the KappaRational of a reduced value, and ``_from_factored`` does
+both.  None of them takes a polynomial gcd.
 """
 from __future__ import annotations
 
@@ -198,32 +198,6 @@ def _fmul(*values: tuple) -> tuple:
     return num, scale, factors
 
 
-def _divide_out(p: IntPoly, f: IntPoly, most: int) -> tuple[IntPoly, int]:
-    """p / f^j for the largest j <= most such that the primitive f^j divides
-    p, and j; f divides p over ℚ iff over ℤ (Gauss)."""
-    j = 0
-    while j < most and len(p) >= len(f):
-        try:
-            p = _pdiv_exact(p, f)
-        except ArithmeticError:
-            break
-        j += 1
-    return p, j
-
-
-def _trial_factor(d: IntPoly, candidates) -> tuple[int, Counter]:
-    """d as c · Π f^k over distinct primitive candidates f, found by trial
-    division; ArithmeticError when a non-constant part of d is left."""
-    factors = Counter()
-    for f in candidates:
-        d, k = _divide_out(d, f, len(d))
-        if k:
-            factors[f] = k
-    if len(d) != 1:
-        raise ArithmeticError(f"denominator part {d} is no product of the candidates")
-    return d[0], factors
-
-
 def _cofactor(c: int, factors: Counter) -> IntPoly:
     out = (c,)
     for f in factors.elements():
@@ -242,24 +216,41 @@ def _fadd(x: tuple, y: tuple) -> tuple:
                   _pmul(n2, _cofactor(s // s2, f - f2))), s, f)
 
 
-def _from_factored(num: IntPoly, scale: int, factors: Counter) -> "KappaRational":
-    """The factored value num / (scale · Π f^k) in canonical form, each
-    factor cancelled by trial division.  What is left is reduced; a
-    product of primitive factors is primitive (Gauss), so the content of the
-    denominator is |scale| and one integer gcd fixes the joint content."""
+def _reduced(num: IntPoly, scale: int, factors) -> tuple:
+    """num / (scale · Π f^k) in lowest terms with a positive scale: each f is
+    cancelled by trial division (over ℚ iff over ℤ, by Gauss); a product of
+    primitive factors is primitive, so one integer gcd fixes the content."""
+    if not num:
+        return (), 1, Counter()
+    left = Counter()
+    for f, k in factors.items():
+        j = 0
+        while j < k and len(num) >= len(f):
+            try:
+                num = _pdiv_exact(num, f)
+            except ArithmeticError:
+                break
+            j += 1
+        if j < k:
+            left[f] = k - j
+    g = math.gcd(scale, *num) if scale > 0 else -math.gcd(scale, *num)
+    return tuple(c // g for c in num), scale // g, left
+
+
+def _canonical(num: IntPoly, scale: int, factors) -> "KappaRational":
+    """The canonical KappaRational of a reduced factored value (``_reduced``)."""
     if not num:
         return _KR_ZERO
-    den = (scale,)
-    for f, k in factors.items():
-        num, j = _divide_out(num, f, k)
-        for _ in range(k - j):
-            den = _pmul(den, f)
-    if len(den) == 1:
+    if not factors:
         return KappaRational._raw(
             KappaPolynomial._raw(tuple(Fraction(c, scale) for c in num)), _KP_ONE)
-    g = math.gcd(scale, *num) if scale > 0 else -math.gcd(scale, *num)
-    return KappaRational._raw(KappaPolynomial._raw(tuple(Fraction(c // g) for c in num)),
-                              KappaPolynomial._raw(tuple(Fraction(c // g) for c in den)))
+    den = KappaPolynomial._raw(tuple(map(Fraction, _cofactor(scale, factors))))
+    return KappaRational._raw(KappaPolynomial._raw(tuple(map(Fraction, num))), den)
+
+
+def _from_factored(num: IntPoly, scale: int, factors) -> "KappaRational":
+    """The factored value num / (scale · Π f^k) in canonical form."""
+    return _canonical(*_reduced(num, scale, factors))
 
 
 class KappaPolynomial:

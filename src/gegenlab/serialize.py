@@ -108,8 +108,8 @@ def kr_str(c: KappaRational, symbol: str = "k") -> str:
     den = c.den
     nstr = kappa_poly_str(num, symbol)
     if den.degree == 0:
-        if num.degree == 0:
-            return nstr  # a plain rational like 4/3
+        if num.degree <= 0:
+            return nstr  # a plain rational like 4/3, or 0
         return nstr if num_terms(num) == 1 else f"({nstr})"
     if num_terms(num) > 1:
         nstr = f"({nstr})"
@@ -124,8 +124,8 @@ def kr_latex(c: KappaRational) -> str:
     den = c.den
     if den.degree == 0:
         nstr = kappa_poly_latex(num)
-        if num.degree == 0:
-            f = num.coeffs[0]
+        if num.degree <= 0:  # a plain rational, or 0
+            f = num(0)
             if f.denominator != 1:
                 return f"\\frac{{{abs(f.numerator)}}}{{{f.denominator}}}"
             return str(abs(f.numerator))

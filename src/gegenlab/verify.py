@@ -271,12 +271,12 @@ def _reverse(w):
     return tuple(reversed(w))
 
 
-@_suite(ranks=_ranks(_gg.RECURRENCE_ROWS))
+@_suite(ranks=(2, 3, 4, 5))
 def suite_duality(rank: int = 2, max_degree: int = 2) -> VerificationReport:
     """Multiplication tables for z_r and z_{N-r} agree under the
-    diagram flip (complementary-index coefficients)."""
+    diagram flip (complementary-index coefficients); they need only the
+    eigen route, so every rank is covered."""
     N = rank + 1
-    _integrals.covered(_gg.RECURRENCE_ROWS, N, "duality suite")
     for m in _weights(rank, max_degree):
         for r in range(1, rank + 1):
             table = _gg.expand_product(r, m, N)

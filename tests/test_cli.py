@@ -333,8 +333,8 @@ class TestVerifyCommand:
 
 RECURRENCE_TABLES = {
     ("2", "0,0"): """\
-a(0,0)  (0)
-c(0)    (0)
+a(0,0)  0
+c(0)    0
 """,
     ("2", "2,1"): """\
 a(2,1)  (6+11k+3k^2)/(3+8k+7k^2+2k^3)
@@ -345,14 +345,14 @@ c(1)    2/(1+k)
     ("3", "1,2,0"): """\
 a(1,2)    (6+23k+25k^2+6k^3)/(6+19k+22k^2+11k^3+2k^4)
 a(2,1)    (6+11k+3k^2)/(3+8k+7k^2+2k^3)
-a(2,0)    (0)
+a(2,0)    0
 a(0,2)    (1+3k)/(1+2k+k^2)
 c(1)      2/(1+k)
 c(2)      (2+4k)/(2+3k+k^2)
-c(0)      (0)
-d(1,2,0)  (0)
+c(0)      0
+d(1,2,0)  0
 d(0,2,1)  (6+14k+4k^2)/(3+9k+9k^2+3k^3)
-f(1,2,0)  (0)
+f(1,2,0)  0
 g(1,2,0)  (3+16k+23k^2+6k^3)/(3+12k+18k^2+12k^3+3k^4)
 """,
     ("3", "2,1,3"): """\
@@ -385,12 +385,24 @@ class TestRecurrenceTable:
         assert rc == 0
         assert out == json.dumps(rows, indent=2, sort_keys=True) + "\n"
 
+    def test_zero_is_rendered_as_0(self, capsys):
+        args = ["table", "--rank", "2", "--kind", "sigma", "--weight", "0,0"]
+        rc, out, _ = run_cli(args, capsys)
+        assert rc == 0 and out == ("sigma[1,0] at (0, 0)   -16k^2\n"
+                                   "sigma[-1,1] at (0, 0)  0\n"
+                                   "sigma[0,-1] at (0, 0)  0\n"
+                                   "sigma[-1,0] at (0, 0)  0\n"
+                                   "sigma[1,-1] at (0, 0)  0\n"
+                                   "sigma[0,1] at (0, 0)   16k^2\n")
+        rc, out, _ = run_cli(args + ["--format", "json"], capsys)
+        assert rc == 0 and list(json.loads(out).values()).count("0") == 4
+
 
 class TestRankCoverage:
     """The tabulated closed-form families cover ranks 2 and 3 (the order-3
     operator rank 2 only); elsewhere the commands that need them are usage
-    errors.  The spectral vector and the order-2 operator hold at every
-    rank."""
+    errors.  The spectral vector, the order-2 operator and the eigen and
+    duality suites hold at every rank."""
 
     @pytest.mark.parametrize("rank", [1, 4])
     @pytest.mark.parametrize("args", [
@@ -401,7 +413,6 @@ class TestRankCoverage:
         ["verify", "--suite", "recurrence"],
         ["verify", "--suite", "commutators"],
         ["verify", "--suite", "sigma"],
-        ["verify", "--suite", "duality"],
     ])
     def test_outside_ranks_two_and_three(self, args, rank, capsys):
         weight = ["--weight", ",".join(["1"] + ["0"] * (rank - 1))]
@@ -427,6 +438,12 @@ class TestRankCoverage:
         rc, out, _ = run_cli(["verify", "--suite", "eigen", "--rank", str(rank)],
                              capsys)
         assert rc == 0 and "suite eigen" in out
+
+    @pytest.mark.parametrize("rank", [1, 4])
+    def test_duality_suite_at_any_rank(self, rank, capsys):
+        rc, out, _ = run_cli(["verify", "--suite", "duality", "--rank", str(rank)],
+                             capsys)
+        assert rc == 0 and "suite duality" in out
 
 
 class TestEmptySuite:

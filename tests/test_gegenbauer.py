@@ -1,4 +1,5 @@
 """Polynomial family: spectra, generation routes, recurrences, step operators."""
+import functools
 import itertools
 import threading
 import time
@@ -92,6 +93,12 @@ class TestLVector:
             lv = l_vector(m, N)
             total = sum((lv.component(j) for j in range(1, N + 1)), kr(0))
             assert total.is_zero
+
+    def test_component_out_of_range(self):
+        lv = l_vector((1, 0), 3)
+        for j in (0, -1, 4):
+            with pytest.raises(ValueError, match=f"component {j} out of range"):
+                lv.component(j)
 
 
 class TestShiftVectors:
@@ -425,6 +432,10 @@ class TestExpandProduct:
         assert table2[(-1, 0)] == recurrence_coefficient("a", (n, m))
         assert table2[(1, -1)] == recurrence_coefficient("c", (n,))
 
+    def test_weight_of_the_wrong_rank(self):
+        with pytest.raises(ValueError, match="has rank 1, expected 2"):
+            expand_product(1, (1,), 3)
+
     def test_a1_reduction_to_classical_three_term(self):
         for m in range(1, 6):
             table = expand_product(1, (m,), 2)
@@ -488,6 +499,12 @@ class TestStep:
 
 
 class TestSigmaClosedForm:
+    def test_weight_of_the_wrong_rank(self):
+        with pytest.raises(ValueError) as err:
+            sigma_closed_form((1,), (1, 0), 3)
+        assert err.type is ValueError
+        assert "has rank 1, expected 2" in str(err.value)
+
     def test_raising_in_second_slot(self):
         # 8(n+m+2k)(n+k) for the (0,1) shift
         for m, n in [(0, 0), (2, 1)]:
@@ -658,9 +675,44 @@ class TestFactoredClosedForms:
             assert _canonical(c) == _canonical(_ORACLE_SIGMA[N][s](*m)), (m, s, N)
 
 
+def _peel_reference(r, m, N):
+    """expand_product as a peel on canonical KappaRationals, one reduction
+    (and polynomial gcd) per operation: the reference of the factored peel."""
+    n = N - 1
+    work = ZPolynomial.variable(n, r) * gen_eigen(m, N)
+    result = {}
+    while not work.is_zero:
+        nu = work.leading_weight()
+        c = work.coefficient(nu)
+        work = work - gen_eigen(nu, N).scale(c)
+        result[tuple(a - b for a, b in zip(nu, m))] = c
+    for sub in itertools.combinations(range(1, N + 1), r):
+        result.setdefault(gegenbauer._mu_sum(sub, n), kr(0))
+    return result
+
+
+@functools.lru_cache(maxsize=None)
+def _recurrence_reference(m, N):
+    """gen_recurrence's rules applied to canonical KappaRationals: the
+    reference of the factored recurrence."""
+    rank = N - 1
+    if not any(m):
+        return ZPolynomial.one(rank)
+    r = 1 if m[0] else rank if m[-1] else 2
+    source = tuple(e - (i == r - 1) for i, e in enumerate(m))
+    acc = ZPolynomial.variable(rank, r) * _recurrence_reference(source, N)
+    for shift, (kind, indices) in gegenbauer.RECURRENCE_ROWS[N][r](*source):
+        target = tuple(a + b for a, b in zip(source, shift))
+        if all(e >= 0 for e in target):
+            coeff = recurrence_coefficient(kind, indices)
+            acc = acc - _recurrence_reference(target, N).scale(coeff)
+    return acc
+
+
 class TestGcdFreeStep:
     """With calibrate warm, step reduces σ with P_m's denominator kept
-    factored and takes no polynomial gcd, cold or warm."""
+    factored and takes no polynomial gcd, cold or warm; expand_product and
+    gen_recurrence peel on factored values and take none either."""
 
     # the sigma suite's and criterion 6's grid
     GRID = [(m, N) for N, bound in ((3, 2), (4, 1))
@@ -679,6 +731,33 @@ class TestGcdFreeStep:
         assert cold == warm
         for (m, s, N), (_, sigma) in zip(cases, cold):
             assert sigma == sigma_closed_form(m, s, N), (m, s, N)
+
+    def test_cold_peel_matches_the_kappa_rational_peel(self, monkeypatch):
+        cases = [(r, m, N) for N, total in ((3, 4), (4, 3), (5, 2))
+                 for m in _weights(N, total) for r in range(1, N)]
+        assert len(cases) == 150
+        gegenbauer._symbolic_eigen.cache_clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(KappaPolynomial, "gcd", staticmethod(_refuse_gcd))
+            got = [expand_product(r, m, N) for r, m, N in cases]
+        for (r, m, N), table in zip(cases, got):
+            want = _peel_reference(r, m, N)
+            assert table.keys() == want.keys(), (r, m, N)
+            for s, c in table.items():
+                assert _canonical(c) == _canonical(want[s]), (r, m, N, s)
+
+    def test_cold_recurrence_matches_the_kappa_rational_rules(self, monkeypatch):
+        cases = [(m, N) for N, total in ((3, 6), (4, 4)) for m in _weights(N, total)]
+        assert len(cases) == 63
+        gegenbauer._gen_recurrence_inner.cache_clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(KappaPolynomial, "gcd", staticmethod(_refuse_gcd))
+            got = [gen_recurrence(m, N) for m, N in cases]
+        for (m, N), p in zip(cases, got):
+            want = _recurrence_reference(m, N)
+            assert p.terms.keys() == want.terms.keys(), (m, N)
+            for w, c in p.terms.items():
+                assert _canonical(c) == _canonical(want.terms[w]), (m, N, w)
 
 
 def _family_calls(N):

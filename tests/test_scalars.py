@@ -15,6 +15,7 @@ from gegenlab.scalars import (
     KappaRational,
     KappaZeroDivision,
     _affine,
+    _canonical,
     _cleared,
     _fadd,
     _fmul,
@@ -22,7 +23,7 @@ from gegenlab.scalars import (
     _lcm,
     _pdiv_exact,
     _pmul,
-    _trial_factor,
+    _reduced,
     kappa,
     kr,
     kr_eval,
@@ -283,6 +284,21 @@ class TestFactoredDenominator:
         assert _from_factored((0, 1, 2), 4, Counter({(0, 1): 1, (1, 2): 1})) == kr(1, 4)
         assert _from_factored((6, 0, -4), -9, Counter()).den == KappaPolynomial.one()
 
+    @pytest.mark.parametrize("cancel", [False, True])
+    def test_reduced_is_in_lowest_terms(self, cancel):
+        # the form the generation caches keep: a positive scale with no
+        # content shared with the numerator, no factor left that divides it
+        rng = random.Random(20261019 + cancel)
+        for _ in range(200):
+            _, _, value = _factored(rng, cancel)
+            num, scale, factors = reduced = _reduced(*value)
+            assert scale > 0 and math.gcd(scale, *num) == 1
+            for f in factors:
+                with pytest.raises(ArithmeticError):
+                    _pdiv_exact(num, f)
+            assert _reduced(*reduced) == reduced
+            self._assert_same(_canonical(*reduced), _from_factored(*value))
+
     def test_sum_matches_field_addition(self):
         rng = random.Random(12)
         for _ in range(100):
@@ -309,13 +325,3 @@ class TestFactoredDenominator:
         self._assert_same(_from_factored(*value), want)
         # a vanishing constant is the zero value, whatever the factors
         assert _from_factored(*scalars._factored(0, [(1, 1)], [(0, 1)])).is_zero
-
-    def test_trial_factor(self):
-        d = (6,)
-        for f in ((1, 2), (1, 2), (0, 1)):
-            d = _pmul(d, f)
-        got = _trial_factor(d, [(5, 3), (0, 1), (1, 2)])
-        assert got == (6, Counter({(1, 2): 2, (0, 1): 1}))
-        assert _trial_factor((4,), [(1, 2)]) == (4, Counter())
-        with pytest.raises(ArithmeticError):
-            _trial_factor(d, [(1, 2)])  # κ is left over

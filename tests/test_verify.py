@@ -8,7 +8,8 @@ from gegenlab.verify import VerificationReport, run_suite
 ALL_COUNTS = [("appendix", 21), ("eigen", 32), ("eigen", 41),
               ("recurrence", 28), ("recurrence", 35), ("commutators", 1),
               ("commutators", 3), ("sigma", 54), ("sigma", 112),
-              ("duality", 12), ("duality", 30), ("kappa1", 102)]
+              ("duality", 12), ("duality", 30), ("duality", 60), ("duality", 105),
+              ("kappa1", 102)]
 
 
 def test_all_runs_every_suite_at_its_ranks():
@@ -22,7 +23,7 @@ def test_all_passes_the_given_bounds_to_every_suite():
     for suite in ("commutators", "duality"):
         got = [[c.name for c in r.checks] for r in reports if r.suite == suite]
         want = [[c.name for c in run_suite(suite, rank=rank, max_degree=1)[0].checks]
-                for rank in (2, 3)]
+                for rank in {"commutators": (2, 3), "duality": (2, 3, 4, 5)}[suite]]
         assert got == want
     (commutators,) = run_suite("commutators", rank=2, max_degree=1)
     assert commutators.checks[0].name.startswith("[order 2, order 3] on degree <= 1")
