@@ -39,9 +39,9 @@ from .scalars import (
     _fadd,
     _fmul,
     _from_factored,
+    _padd,
     _pmul,
     _reduced,
-    kr,
     lin,
 )
 from .symfun import (
@@ -115,15 +115,15 @@ class LVector:
 def l_vector(m: Weight, N: int) -> LVector:
     """Spectral vector: twice the κ-shifted weight in the N-dim realization."""
     _require_dominant(m, N)
-    n = N - 1
-    base = sum((N - kk) * m[kk - 1] for kk in range(1, n + 1))
-    entries = []
-    for j in range(1, N + 1):
-        head = sum(m[kk - 1] for kk in range(1, j))  # m_0 := 0
-        const = Fraction(2 * (base - N * head), N)
-        slope = Fraction(N + 1 - 2 * j)
-        entries.append((const, slope))
-    return LVector(N, tuple(entries))
+    return LVector(N, tuple((Fraction(c, N), Fraction(s, N))
+                            for c, s in _scaled_l(m, N)))
+
+
+def _scaled_l(m: Weight, N: int) -> tuple[tuple[int, int], ...]:
+    """N * l_vector(m, N) as integer (constant, slope) pairs."""
+    base = sum((N - k) * e for k, e in enumerate(m, start=1))
+    return tuple((2 * (base - N * sum(m[:j - 1])), N * (N + 1 - 2 * j))
+                 for j in range(1, N + 1))
 
 
 def char_eigenvalue(m: Weight, N: int) -> list[KappaRational]:
@@ -325,9 +325,8 @@ def recurrence_coefficient(kind: str, args) -> KappaRational:
 def _rc(kind: str, *args) -> tuple:
     """recurrence_coefficient(kind, args) as a factored value; its integer
     constant is the leading index factor, so it vanishes with it."""
-    args = tuple(int(x) for x in args)
-    if any(x < 0 for x in args):
-        raise ValueError(f"negative index in {kind}{args}")
+    if any(not isinstance(x, int) or x < 0 for x in args):
+        raise ValueError(f"index of {kind}{args} is not a non-negative int")
     if kind == "c":
         (m,) = args
         return _factored(m, [(m - 1, 2)], [(m, 1), (m - 1, 1)])
@@ -462,19 +461,38 @@ def expand_product(r: int, m: Weight, N: int) -> dict[Weight, KappaRational]:
 # ---------------------------------------------------------------------------
 
 @functools.lru_cache(maxsize=None)
-def _shifted_delta(m: Weight, N: int, r: int):
-    """The Δ(t) coefficients of z_r · P_m, read-only, from integrals._delta:
-    (coefficients of t^0 .. t^N, M, scale, factors), each coefficient a
-    mapping of integer numerators over M · scale · Π f^k, the common
-    denominator of P_m's reduced split kept factored."""
-    split = _symbolic_eigen(m, N)[1]
-    scale = math.lcm(*(c for _, c, _ in split.values()))
-    factors = functools.reduce(operator.or_, (f for _, _, f in split.values()))
-    nums = {w: _pmul(num, _cofactor(scale // c, factors - f))
-            for w, (num, c, f) in _times_z(r, split).items()}
-    coeffs, M = _integrals._delta(nums, N)
-    return (tuple(map(types.MappingProxyType, coeffs)), M, scale,
-            types.MappingProxyType(factors))
+def _shifted_delta(m: Weight, N: int, r: int, points: tuple):
+    """The Δ(t) coefficients of Δ(p_1/N) ⋯ Δ(p_k/N) z_r · P_m for the integer
+    κ-polynomials p of points, read-only: (coefficients of t^0 .. t^N, M,
+    scale, factors), each coefficient a mapping of integer numerators over
+    M · scale · Π f^k, where M is an integer and scale · Π f^k is the common
+    denominator of P_m's reduced split, kept factored.  Each prefix of the
+    points is its own key: the last point is evaluated on the cached
+    coefficients of the prefix, so integrals._delta runs once per key."""
+    if points:
+        coeffs, M, scale, factors = _shifted_delta(m, N, r, points[:-1])
+        nums, (M,) = _integrals._delta_at(coeffs, M, points[-1], (N,))
+    else:
+        split = _symbolic_eigen(m, N)[1]
+        scale = math.lcm(*(c for _, c, _ in split.values()))
+        joint = functools.reduce(operator.or_, (f for _, _, f in split.values()))
+        nums = {w: _pmul(num, _cofactor(scale // c, joint - f))
+                for w, (num, c, f) in _times_z(r, split).items()}
+        M, factors = 1, types.MappingProxyType(joint)
+    coeffs, more = _integrals._delta(nums, N)
+    return tuple(map(types.MappingProxyType, coeffs)), M * more, scale, factors
+
+
+def _ratio(nums: dict, split, w0: Weight) -> Optional[tuple]:
+    """nums[w0] when nums == nums[w0] · P for the P of a reduced split
+    (``_settle``) whose coefficient at w0 is 1, checked by cross-multiplication
+    in ℤ[κ]; None when there is none."""
+    top = nums.get(w0, ())
+    if nums.keys() <= split.keys() and all(
+            _pmul(nums.get(w, ()), _cofactor(c, f)) == _pmul(top, num)
+            for w, (num, c, f) in split.items()):
+        return top
+    return None
 
 
 def step(m: Weight, s: Weight, N: int) -> tuple[ZPolynomial, KappaRational]:
@@ -483,47 +501,39 @@ def step(m: Weight, s: Weight, N: int) -> tuple[ZPolynomial, KappaRational]:
     Returns (P_{m+s}, sigma) with sigma the proportionality factor; at a
     boundary where the target does not exist the result is (0, 0).
 
-    z_r · P_m and each factor Δ(l_i + t_shift) of the subset act on integer
-    numerators over P_m's common denominator.  The first factor evaluates
-    the cached coefficients of Δ on z_r · P_m (``_shifted_delta``), which
-    every shift of one sign and r shares; a second factor runs Δ on the
-    first one's output.  σ is read off by cross-multiplication and reduced
-    with the denominator factored, so with calibrate(N) warm no polynomial
-    gcd is taken.
+    The operator is z_r times a factor Δ(l_i + t_s) for each i of the shift's
+    subset, with t_s = -2r/N when raising and +2r/N when lowering with
+    z_{N-r}.  Each point is N · (l_i + t_s), an integer affine κ-polynomial
+    over b = N, and each factor evaluates the cached Δ coefficients of the
+    factors before it (``_shifted_delta``), which every shift of one sign,
+    r and prefix shares.  σ is read off by cross-multiplication against the
+    target's cached split (``_ratio``) and reduced with the denominator
+    factored, so no KappaRational is built before σ and, with calibrate(N)
+    warm, no polynomial gcd is taken.
     """
     m = tuple(m)
     s = tuple(s)
     _require_dominant(m, N)
     _integrals.covered(_integrals.CALIBRATION_WEIGHT, N, "step operators")
     sign, subset, r = shift_decompose(s, N)
-    rank = N - 1
-    if sign > 0:
-        zr = r
-        t_shift = kr(-2 * r, N)
-    else:
-        zr = N - r
-        t_shift = kr(2 * r, N)
-    lv = l_vector(m, N)
-    coeffs, M, scale, factors = _shifted_delta(m, N, zr)
-    first, *rest = subset
-    nums, mult = _integrals._delta_at(coeffs, M, lv.component(first) + t_shift)
-    for i in rest:
-        nums, more = _integrals._delta_at(*_integrals._delta(nums, N),
-                                          lv.component(i) + t_shift)
-        mult = _pmul(mult, more)
+    *prefix, last = (_padd((c - 2 * r * sign,), (0, slope))  # N · (l_i + t_s)
+                     for i, (c, slope) in enumerate(_scaled_l(m, N), start=1)
+                     if i in subset)
+    coeffs, M, scale, factors = _shifted_delta(m, N, r if sign > 0 else N - r,
+                                               tuple(prefix))
+    nums, (multiplier,) = _integrals._delta_at(coeffs, M, last, (N,))
     if not nums:
-        return ZPolynomial.zero(rank), KappaRational.zero()
+        return ZPolynomial.zero(N - 1), KappaRational.zero()
     where = f"shift {s} at {m}, N={N}"
     target = tuple(a + b for a, b in zip(m, s))
     if any(e < 0 for e in target):
         raise DecompositionError(
             f"nonzero step result for invalid target {target} ({where})")
-    p_target = gen_eigen(target, N)
-    top = _integrals._ratio(nums, p_target, target)
+    p_target, split = _symbolic_eigen(target, N)
+    top = _ratio(nums, split, target)
     if top is None:
         raise DecompositionError(
             f"step result for {where} is not proportional to one polynomial")
-    (multiplier,) = mult  # every t = a/b has an integer b: M · b^N is an integer
     return p_target, _from_factored(top, scale * multiplier, factors)
 
 

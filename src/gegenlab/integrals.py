@@ -37,20 +37,15 @@ denominator N^j.  Every term shape carries a derivative factor, so the
 action on constants is zero: the purely multiplicative terms are left out,
 which realizes normal ordering.
 
-The integrals, the characteristic operator Δ(t) and the step operators
-built from it act fraction-free, in the sense of Collins: a z-polynomial
-is split into κ-polynomials with integer coefficients (tuples of Python
-ints) over one common denominator D in ℤ[κ], the lcm of its cleared
-coefficient denominators.  The engine images, the calibration scales and
-offsets and t = a/b are cleared to integers and multiplied into the
-numerators; their denominators N^j, the calibration's integer factor and
-b^N go into D.  Only each output coefficient is reduced, once, as a
-KappaRational numerator / D, with no polynomial gcd when D is a constant.
-The step operators go further: they read P_m's denominator, kept factored,
-off the reduced split that ``gegenbauer._symbolic_eigen`` caches, reuse the
-Δ coefficients of z_r·P_m (``gegenbauer._shifted_delta``), and reduce σ,
-read off by ``_ratio``, by trial division (``scalars._from_factored``), so
-they take no polynomial gcd at all.
+The integrals and the characteristic operator Δ(t) act fraction-free, in
+the sense of Collins: a z-polynomial is split into κ-polynomials with
+integer coefficients (tuples of Python ints) over one common denominator D
+in ℤ[κ], the lcm of its cleared coefficient denominators.  The engine
+images, the calibration scales and offsets and t = a/b are cleared to
+integers and multiplied into the numerators; their denominators N^j, the
+calibration's integer factor and b^N go into D.  Only each output
+coefficient is reduced, once, as a KappaRational numerator / D, with no
+polynomial gcd when D is a constant.
 
 ``apply_integral(2, . )`` is normalized to have the non-negative spectrum
 (its eigenvalue on an eigenpolynomial is the excitation energy); higher
@@ -381,17 +376,6 @@ def _rebuild(rank: int, nums: Numerators, D: IntPoly) -> ZPolynomial:
                                    for w, n in nums.items()})
 
 
-def _ratio(nums: Numerators, p: ZPolynomial, w0: Weight) -> Optional[IntPoly]:
-    """nums[w0] when nums == nums[w0] * p for a p whose coefficient at w0 is
-    1, checked by cross-multiplication in ℤ[κ]; None when there is none."""
-    top = nums.get(w0, ())
-    for w in nums.keys() | p.terms.keys():
-        num, den = _cleared(p.coefficient(w))
-        if _pmul(nums.get(w, ()), den) != _pmul(top, num):
-            return None
-    return top
-
-
 def _integral(order: int, nums: Numerators, N: int) -> Numerators:
     """N^order times the order-j integral, on numerators over a common
     denominator."""
@@ -606,13 +590,12 @@ def _delta(nums: Numerators, N: int) -> tuple[list[Numerators], int]:
 
 
 def _delta_at(coeffs: list[Numerators], M: int,
-              t: KappaRational) -> tuple[Numerators, IntPoly]:
+              a: IntPoly, b: IntPoly) -> tuple[Numerators, IntPoly]:
     """Δ(t) from its coefficients times M (``_delta``), for t = a/b with a
-    and b cleared to integer κ-polynomials: the numerators
+    and b integer κ-polynomials: the numerators
     sum_k coeff_k * a^k * b^(N-k) and their multiplier M * b^N, which the
     caller multiplies into its denominator."""
     N = len(coeffs) - 1
-    a, b = _cleared(t)
     b_powers = [_ONE]
     for _ in range(N):
         b_powers.append(_pmul(b_powers[-1], b))
@@ -644,7 +627,7 @@ def char_apply(p: ZPolynomial, N: int, t: Optional[KappaRational] = None):
     coeffs, M = _delta(nums, N)
     if t is None:
         return [_rebuild(rank, c, _pmul(D, (M,))) for c in coeffs]
-    out, mult = _delta_at(coeffs, M, _coerce_scalar(t))
+    out, mult = _delta_at(coeffs, M, *_cleared(_coerce_scalar(t)))
     return _rebuild(rank, out, _pmul(D, mult))
 
 

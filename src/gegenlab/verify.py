@@ -275,7 +275,11 @@ def _reverse(w):
 def suite_duality(rank: int = 2, max_degree: int = 2) -> VerificationReport:
     """Multiplication tables for z_r and z_{N-r} agree under the
     diagram flip (complementary-index coefficients); they need only the
-    eigen route, so every rank is covered."""
+    eigen route, so every rank from 2 is covered.  Below rank 2 the flip
+    maps each table onto itself, so the suite is a ValueError there."""
+    if rank < 2:
+        raise ValueError(f"duality suite at rank {rank}: needs rank >= 2,"
+                         " where z_r and z_(N-r) differ")
     N = rank + 1
     for m in _weights(rank, max_degree):
         for r in range(1, rank + 1):

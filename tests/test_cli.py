@@ -401,8 +401,10 @@ class TestRecurrenceTable:
 class TestRankCoverage:
     """The tabulated closed-form families cover ranks 2 and 3 (the order-3
     operator rank 2 only); elsewhere the commands that need them are usage
-    errors.  The spectral vector, the order-2 operator and the eigen and
-    duality suites hold at every rank."""
+    errors.  The spectral vector, the order-2 operator and the eigen suite
+    hold at every rank, and the duality suite at every rank from 2: at rank
+    1 it would compare each z_1 table with itself, and at rank 0 check
+    nothing."""
 
     @pytest.mark.parametrize("rank", [1, 4])
     @pytest.mark.parametrize("args", [
@@ -439,11 +441,14 @@ class TestRankCoverage:
                              capsys)
         assert rc == 0 and "suite eigen" in out
 
-    @pytest.mark.parametrize("rank", [1, 4])
+    @pytest.mark.parametrize("rank", [0, 1, 4])
     def test_duality_suite_at_any_rank(self, rank, capsys):
-        rc, out, _ = run_cli(["verify", "--suite", "duality", "--rank", str(rank)],
-                             capsys)
-        assert rc == 0 and "suite duality" in out
+        rc, out, err = run_cli(["verify", "--suite", "duality", "--rank", str(rank)],
+                               capsys)
+        if rank < 2:
+            assert rc == 2 and not out and f"rank {rank}" in err
+        else:
+            assert rc == 0 and "suite duality" in out
 
 
 class TestEmptySuite:

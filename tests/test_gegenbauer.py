@@ -3,6 +3,7 @@ import functools
 import itertools
 import threading
 import time
+import types
 from fractions import Fraction
 
 import pytest
@@ -383,6 +384,15 @@ class TestRecurrenceCoefficients:
         with pytest.raises(ValueError):
             recurrence_coefficient("b", (1, 2))
 
+    @pytest.mark.parametrize("kind,args", [("a", (1.5, 2.9)), ("c", ("3",)),
+                                           ("d", (1, 2.0, 0)), ("g", (-1, 1, 1))])
+    def test_indices_must_be_non_negative_ints(self, kind, args):
+        # an index is never truncated or parsed
+        with pytest.raises(ValueError) as err:
+            recurrence_coefficient(kind, args)
+        assert err.type is ValueError
+        assert f"{kind}{args}" in str(err.value)
+
 
 class TestGenRecurrence:
     def test_printed_forms(self):
@@ -478,16 +488,19 @@ class TestStep:
 
     def test_perturbed_target_is_caught(self, monkeypatch):
         # the cross-multiplied proportionality check sees one wrong
-        # coefficient of the target polynomial
-        honest = gegenbauer.gen_eigen
+        # coefficient of the target's cached split
+        honest = gegenbauer._symbolic_eigen
 
-        def perturbed(w, N=None, kappa=None):
-            p = honest(w, N, kappa)
-            if tuple(w) != (2, 1):
-                return p
-            return p + ZPolynomial.monomial(2, (1, 0), kr(1, 7))
+        def perturbed(w, N):
+            p, split = honest(w, N)
+            if w != (2, 1):
+                return p, split
+            num, scale, factors = split[(1, 0)]
+            wrong = dict(split)
+            wrong[(1, 0)] = (num, scale * 7, factors)
+            return p, types.MappingProxyType(wrong)
 
-        monkeypatch.setattr(gegenbauer, "gen_eigen", perturbed)
+        monkeypatch.setattr(gegenbauer, "_symbolic_eigen", perturbed)
         with pytest.raises(DecompositionError) as err:
             step((1, 1), (1, 0), 3)
         for part in ("shift (1, 0)", "at (1, 1)", "N=3"):
@@ -496,6 +509,21 @@ class TestStep:
     def test_untabulated_shift(self):
         with pytest.raises(ShiftNotTabulated):
             sigma_closed_form((0, 0), (2, 0), 3)
+
+    def test_warm_steps_read_only_cached_coefficients(self, monkeypatch):
+        # every Δ factor, double shifts' second ones too, evaluates the
+        # cached coefficients of _shifted_delta at an integer point, and σ
+        # is read off the target's cached split: a warm pass runs no Δ and
+        # clears no KappaRational
+        cases = [(m, s, N) for m, N in TestGcdFreeStep.GRID
+                 for s in tabulated_shifts(N)]
+        assert len(cases) == 166
+        first = [step(m, s, N) for m, s, N in cases]
+        with monkeypatch.context() as patch:
+            for name in ("_delta", "_cleared"):
+                patch.setattr(integrals, name, _refuse(name))
+            second = [step(m, s, N) for m, s, N in cases]
+        assert second == first
 
 
 class TestSigmaClosedForm:
@@ -645,6 +673,12 @@ def _canonical(c):
 
 def _refuse_gcd(*args):
     raise AssertionError("a polynomial gcd was taken")
+
+
+def _refuse(name):
+    def refused(*args):
+        raise AssertionError(f"{name} was called")
+    return refused
 
 
 class TestFactoredClosedForms:
@@ -839,7 +873,9 @@ class TestCaches:
         assert step((1, 0), (1, 0), 3) == first
         info = gegenbauer._shifted_delta.cache_info()
         assert (info.hits, info.misses) == (1, 1)
-        coeffs, _, _, factors = gegenbauer._shifted_delta((1, 0), 3, 1)
+        # keyed on (m, N, r, the points applied before the last)
+        coeffs, _, _, factors = gegenbauer._shifted_delta((1, 0), 3, 1, ())
+        assert gegenbauer._shifted_delta.cache_info().hits == 2
         with pytest.raises(TypeError):
             coeffs[0][(0, 0)] = (1,)
         with pytest.raises(TypeError):
