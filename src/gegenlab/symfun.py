@@ -394,16 +394,15 @@ class XPolynomial:
     def scale(self, s) -> "XPolynomial":
         return XPolynomial(self.nvars, {e: c * s for e, c in self.terms.items()})
 
-    def swap_violation(self, swaps: Optional[Iterable[int]] = None,
-                       sign: int = 1) -> Optional[tuple[int, int]]:
+    def swap_violation(self, swaps: Optional[Iterable[int]] = None) -> Optional[tuple[int, int]]:
         """First adjacent transposition (j, j+1), 1-based, for j in swaps
-        (default: every j), that does not take the polynomial to sign times
-        itself; None if there is none."""
+        (default: every j), that does not fix the polynomial; None if there
+        is none."""
         for j in range(1, self.nvars) if swaps is None else swaps:
             for e, c in self.terms.items():
                 se = list(e)
                 se[j - 1], se[j] = se[j], se[j - 1]
-                if self.terms.get(tuple(se), 0) != (c if sign == 1 else -c):
+                if self.terms.get(tuple(se), 0) != c:
                     return (j, j + 1)
         return None
 

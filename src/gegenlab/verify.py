@@ -214,6 +214,8 @@ def _leading_structure_checks(N: int) -> list[CheckResult]:
 
 @_suite(ranks=_ranks(_integrals.CALIBRATION_WEIGHT), defaults=_DEGREE)
 def suite_eigen(rank: int = 2, max_degree: Optional[int] = None) -> VerificationReport:
+    if rank < 1:
+        raise ValueError(f"eigen suite at rank {rank}: needs rank >= 1")
     N = rank + 1
     for w in _weights(rank, _default("eigen", rank, max_degree)):
         P = _gg.gen_eigen(w, N)
@@ -292,9 +294,12 @@ def suite_duality(rank: int = 2, max_degree: int = 2) -> VerificationReport:
 
 
 @_suite(ranks=(None,))
-def suite_kappa1() -> VerificationReport:
+def suite_kappa1(rank: Optional[int] = None) -> VerificationReport:
     """At coupling 1 every recurrence coefficient with a nonzero leading
-    index factor is exactly 1 (and exactly 0 otherwise)."""
+    index factor is exactly 1 (and exactly 0 otherwise), at any rank that
+    the recurrence tables cover."""
+    if rank is not None:
+        _integrals.covered(_gg.RECURRENCE_ROWS, rank + 1, "kappa1 suite")
     one = Fraction(1)
 
     def check(kind, args, should_vanish):
@@ -327,15 +332,18 @@ SUITES = (*SUITE_TABLE, "all")
 def run_suite(name: str, rank: Optional[int] = None,
               max_degree: Optional[int] = None,
               max_components: Optional[int] = None) -> list[VerificationReport]:
-    """Run one suite, or with "all" every suite at each of its ranks.  The
-    given bounds reach every suite that takes them; a negative bound, which
-    leaves a suite nothing to check, is a ValueError."""
+    """Run one suite, or with "all" every suite at each of its ranks.  With
+    "all" the given bounds reach every suite that takes them, and a rank is
+    a ValueError; a single suite refuses an option it does not take.  A
+    negative bound, which leaves a suite nothing to check, is a ValueError."""
     given = {"max_degree": max_degree, "max_components": max_components}
     for option, bound in given.items():
         if bound is not None and bound < 0:
             raise ValueError(f"negative bound {option}={bound} leaves a suite"
                              " nothing to check")
     if name == "all":
+        if rank is not None:
+            raise ValueError(f"suite all runs each suite at its own ranks, got rank {rank}")
         runs = [(suite, r) for suite in SUITE_TABLE.values() for r in suite.ranks]
     elif name in SUITE_TABLE:
         runs = [(SUITE_TABLE[name], rank)]
@@ -344,7 +352,9 @@ def run_suite(name: str, rank: Optional[int] = None,
     reports = []
     for suite, r in runs:
         takes = inspect.signature(suite.run).parameters
-        kwargs = {k: v for k, v in dict(given, rank=r).items()
-                  if v is not None and k in takes}
-        reports.append(suite.run(**kwargs))
+        kwargs = {k: v for k, v in dict(given, rank=r).items() if v is not None}
+        refused = sorted(kwargs.keys() - takes)
+        if refused and name != "all":
+            raise ValueError(f"{name} suite takes no {', '.join(refused)}")
+        reports.append(suite.run(**{k: kwargs[k] for k in kwargs.keys() & takes}))
     return reports

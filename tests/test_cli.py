@@ -404,7 +404,7 @@ class TestRankCoverage:
     errors.  The spectral vector, the order-2 operator and the eigen suite
     hold at every rank, and the duality suite at every rank from 2: at rank
     1 it would compare each z_1 table with itself, and at rank 0 check
-    nothing."""
+    nothing.  The eigen suite needs rank 1 or more."""
 
     @pytest.mark.parametrize("rank", [1, 4])
     @pytest.mark.parametrize("args", [
@@ -435,11 +435,14 @@ class TestRankCoverage:
                               "--weight", weight], capsys)
         assert rc == 0 and out == expected
 
-    @pytest.mark.parametrize("rank", [1, 4])
+    @pytest.mark.parametrize("rank", [-1, 0, 1, 4])
     def test_eigen_suite_at_any_rank(self, rank, capsys):
-        rc, out, _ = run_cli(["verify", "--suite", "eigen", "--rank", str(rank)],
-                             capsys)
-        assert rc == 0 and "suite eigen" in out
+        rc, out, err = run_cli(["verify", "--suite", "eigen", "--rank", str(rank)],
+                               capsys)
+        if rank < 1:
+            assert rc == 2 and not out and f"eigen suite at rank {rank}" in err
+        else:
+            assert rc == 0 and "suite eigen" in out
 
     @pytest.mark.parametrize("rank", [0, 1, 4])
     def test_duality_suite_at_any_rank(self, rank, capsys):
@@ -464,6 +467,31 @@ class TestEmptySuite:
         rc, out, err = run_cli(["verify"] + args, capsys)
         assert rc == 2 and "pass" not in out
         assert "negative" in err
+
+
+class TestSuiteOptions:
+    """An option that the named suite does not take is a usage error, and so
+    is a rank with `--suite all`, which runs each suite at its own ranks."""
+
+    @pytest.mark.parametrize("args,names", [
+        (["--suite", "kappa1", "--rank", "7"], ["kappa1 suite", "rank 7"]),
+        (["--suite", "all", "--rank", "9"], ["suite all", "rank 9"]),
+        (["--suite", "sigma", "--max-degree", "3"], ["sigma suite", "max_degree"]),
+        (["--suite", "eigen", "--max-components", "1"], ["eigen suite", "max_components"]),
+    ])
+    def test_refused(self, args, names, capsys):
+        rc, out, err = run_cli(["verify"] + args, capsys)
+        assert rc == 2 and not out
+        assert all(name in err for name in names), err
+
+    def test_kappa1_at_its_ranks(self, capsys):
+        runs = []
+        for rank in ([], ["--rank", "2"], ["--rank", "3"]):
+            rc, out, _ = run_cli(["verify", "--suite", "kappa1", "--format", "json"]
+                                 + rank, capsys)
+            assert rc == 0
+            runs.append(json.loads(out)[0]["checks"])
+        assert len(runs[0]) == 102 and runs[1] == runs[0] and runs[2] == runs[0]
 
 
 class TestGolden:
