@@ -14,7 +14,9 @@ reduced factored values beside its z-polynomial, so none takes a polynomial gcd.
 
 On top of these sit the spectral vectors of the characteristic operator,
 the closed-form recurrence coefficients, and the raising/lowering (step)
-operators together with their proportionality factors.
+operators.  Their proportionality factors σ have a closed form that reads no
+step code: a recurrence row's coefficient times the spectral product of the
+operator's Δ factors (``sigma_closed_form``).
 """
 from __future__ import annotations
 
@@ -49,6 +51,7 @@ from .symfun import (
     ZPolynomial,
     dominance_key,
     dominated_weights,
+    weight_partition,
 )
 from . import integrals as _integrals
 
@@ -172,19 +175,24 @@ def _mu_sum(subset, n: int) -> Weight:
 
 def shift_decompose(s: Weight, N: int):
     """Write a shift as +/- a sum of r distinct elementary shifts of equal
-    sign; returns (sign, subset, r).  A positive decomposition is preferred:
-    the tabulated step operators realize every double shift through the
+    sign; returns (sign, subset, r).
+
+    The subset's indicator x has x_k − x_{k+1} = sign·s_k, so the tail sums
+    of s with a 0 appended are sign·(x_k − x_N): they take exactly two
+    adjacent values, and the subset is where they are largest when raising,
+    the rest when lowering.  The smaller r is preferred, then raising: the
+    step operators realize every double shift at N = 4 through the
     raising-side spectral product."""
-    n = N - 1
-    if len(s) != n:
+    if len(s) != N - 1:
         raise ValueError(f"shift {s} has wrong rank")
-    for r in range(1, N):
-        for sign in (1, -1):
-            for subset in itertools.combinations(range(1, N + 1), r):
-                ms = _mu_sum(subset, n)
-                if tuple(sign * e for e in ms) == s:
-                    return (sign, subset, r)
-    raise ShiftNotTabulated(f"{s} is not a signed sum of distinct elementary shifts")
+    tails = tuple(itertools.accumulate(reversed((*s, 0))))[::-1]
+    top = max(tails)
+    if set(tails) != {top - 1, top}:
+        raise ShiftNotTabulated(f"{s} is not a signed sum of distinct elementary shifts")
+    subset = tuple(k for k, t in enumerate(tails, start=1) if t == top)
+    if 2 * len(subset) <= N:
+        return 1, subset, len(subset)
+    return -1, tuple(k for k, t in enumerate(tails, start=1) if t != top), N - len(subset)
 
 
 def l_shift(m: Weight, s: Weight, N: int) -> LVector:
@@ -223,15 +231,10 @@ def _times_z(r: int, split) -> dict:
     return {w[:r - 1] + (w[r - 1] + 1,) + w[r:]: v for w, v in split.items()}
 
 
-def _minus(x: tuple) -> tuple:
-    """The negative of a factored value."""
-    num, scale, factors = x
-    return num, -scale, factors
-
-
 def _peel(work: dict, c: tuple, split) -> None:
     """work -= c · split, in place on factored values; zeros are dropped."""
-    c = _minus(c)
+    num, scale, factors = c
+    c = num, -scale, factors
     for w, v in split.items():
         acc = _fmul(c, v) if w not in work else _fadd(work[w], _fmul(c, v))
         if acc[0]:
@@ -538,102 +541,49 @@ def step(m: Weight, s: Weight, N: int) -> tuple[ZPolynomial, KappaRational]:
 
 
 # ---------------------------------------------------------------------------
-# closed-form step factors, as factored values (scalars._factored)
+# closed-form step factors
 # ---------------------------------------------------------------------------
 
-def _pair_norm(a: int, b: int) -> tuple:
-    """8 (a+b+2κ)(a+κ): single-shift normalization for three particles."""
-    return _factored(8, [(a + b, 2), (a, 1)])
-
-
-def _pair_norm_mixed(a: int, b: int) -> tuple:
-    """8 (a+κ)(b+κ): mixed single-shift normalization for three particles."""
-    return _factored(8, [(a, 1), (b, 1)])
-
-
-def _chain_norm(m: int, l: int, n: int) -> tuple:
-    """16 (m+κ)(m+l+2κ)(m+l+n+3κ): single-shift normalization, four particles."""
-    return _factored(16, [(m, 1), (m + l, 2), (m + l + n, 3)])
-
-
-def _chain_norm_mixed(m: int, l: int, n: int) -> tuple:
-    """16 (m+κ)(l+κ)(l+n+2κ): mixed single-shift normalization, four particles."""
-    return _factored(16, [(m, 1), (l, 1), (l + n, 2)])
-
-
-def _double_norm_adjacent(m: int, l: int, n: int) -> tuple:
-    """256 (l+κ)(m+1+κ)(m-1+κ)(m+l+2κ)(l+n+2κ)(m+l+n+3κ)."""
-    return _factored(256, [(l, 1), (m + 1, 1), (m - 1, 1), (m + l, 2),
-                           (l + n, 2), (m + l + n, 3)])
-
-
-def _double_norm_split(m: int, l: int, n: int) -> tuple:
-    """256 (m+κ)(l+κ)(n+κ)(m+l+1+2κ)(m+l-1+2κ)(m+l+n+3κ)."""
-    return _factored(256, [(m, 1), (l, 1), (n, 1), (m + l + 1, 2),
-                           (m + l - 1, 2), (m + l + n, 3)])
-
-
-def _double_norm_outer(m: int, l: int, n: int) -> tuple:
-    """256 (m+κ)(n+κ)(m+l+2κ)(l+n+2κ)(m+l+n+1+3κ)(m+l+n-1+3κ)."""
-    return _factored(256, [(m, 1), (n, 1), (m + l, 2), (l + n, 2),
-                           (m + l + n + 1, 3), (m + l + n - 1, 3)])
-
-
-def _double_norm_inner(m: int, l: int, n: int) -> tuple:
-    """256 (m+κ)(n+κ)(l+1+κ)(l-1+κ)(m+l+2κ)(l+n+2κ)."""
-    return _factored(256, [(m, 1), (n, 1), (l + 1, 1), (l - 1, 1),
-                           (m + l, 2), (l + n, 2)])
-
-
-# N -> shift -> closed-form step factor as a function of the components of
-# m, reduced by sigma_closed_form; the keys are the particle numbers the step
-# tables cover.
-SIGMA_TABLES: dict[int, dict[Weight, Callable[..., tuple]]] = {
-    3: {
-        (1, 0): lambda m, n: _minus(_pair_norm(m, n)),
-        (-1, 1): lambda m, n: _fmul(_pair_norm_mixed(m, n), _rc("c", m)),
-        (0, -1): lambda m, n: _minus(_fmul(_pair_norm(n, m), _rc("a", m, n))),
-        (-1, 0): lambda m, n: _fmul(_pair_norm(m, n), _rc("a", n, m)),
-        (1, -1): lambda m, n: _minus(_fmul(_pair_norm_mixed(m, n), _rc("c", n))),
-        (0, 1): lambda m, n: _pair_norm(n, m),
-    },
-    # The two mixed double shifts carry the same adjusted reading as the z_2
-    # multiplication rule: their order-one factors are a(l,n) and a(l,m).
-    4: {
-        (1, 0, 0): lambda m, l, n: _minus(_chain_norm(m, l, n)),
-        (-1, 1, 0): lambda m, l, n: _fmul(_chain_norm_mixed(m, l, n), _rc("c", m)),
-        (0, -1, 1): lambda m, l, n: _minus(_fmul(_chain_norm_mixed(n, l, m),
-                                                 _rc("a", m, l))),
-        (0, 0, -1): lambda m, l, n: _fmul(_chain_norm(n, l, m), _rc("d", m, l, n)),
-        (0, 0, 1): lambda m, l, n: _minus(_chain_norm(n, l, m)),
-        (0, 1, -1): lambda m, l, n: _fmul(_chain_norm_mixed(n, l, m), _rc("c", n)),
-        (1, -1, 0): lambda m, l, n: _minus(_fmul(_chain_norm_mixed(m, l, n),
-                                                 _rc("a", n, l))),
-        (-1, 0, 0): lambda m, l, n: _fmul(_chain_norm(m, l, n), _rc("d", n, l, m)),
-        (0, 1, 0): lambda m, l, n: _minus(_double_norm_adjacent(m, l, n)),
-        (1, -1, 1): lambda m, l, n: _fmul(_double_norm_split(m, l, n), _rc("c", l)),
-        (1, 0, -1): lambda m, l, n: _minus(_fmul(_double_norm_outer(m, l, n),
-                                                 _rc("a", l, n))),
-        (-1, 0, 1): lambda m, l, n: _minus(_fmul(_double_norm_inner(m, l, n),
-                                                 _rc("a", l, m))),
-        (-1, 1, -1): lambda m, l, n: _fmul(_double_norm_split(n, l, m),
-                                           _rc("f", m, l, n)),
-        (0, -1, 0): lambda m, l, n: _minus(_fmul(_double_norm_adjacent(n, l, m),
-                                                 _rc("g", m, l, n))),
-    },
+# N -> the shifts of the step operators, in the order the tables print them
+# (no rule gives it at both N); the keys are the particle numbers the step
+# tables cover, each with the RECURRENCE_ROWS that sigma_closed_form reads.
+STEP_SHIFTS: dict[int, tuple[Weight, ...]] = {
+    3: ((1, 0), (-1, 1), (0, -1), (-1, 0), (1, -1), (0, 1)),
+    4: ((1, 0, 0), (-1, 1, 0), (0, -1, 1), (0, 0, -1), (0, 0, 1), (0, 1, -1),
+        (1, -1, 0), (-1, 0, 0), (0, 1, 0), (1, -1, 1), (1, 0, -1), (-1, 0, 1),
+        (-1, 1, -1), (0, -1, 0)),
 }
 
 
 def tabulated_shifts(N: int) -> tuple[Weight, ...]:
-    return tuple(_integrals.covered(SIGMA_TABLES, N, "step tables"))
+    return _integrals.covered(STEP_SHIFTS, N, "step tables")
 
 
 def sigma_closed_form(m: Weight, s: Weight, N: int) -> KappaRational:
-    """Closed-form proportionality factor of the step operator for shift s."""
+    """Closed-form proportionality factor σ(m, s) of the step operator.
+
+    The operator is z_j followed by the factors Δ(l_i + t_s) for i in the
+    shift's subset S (``step``), with j = r when raising and N − r when
+    lowering.  So σ is the coefficient c of P_{m+s} in z_j·P_m, read from
+    RECURRENCE_ROWS[N][j] (1 for the top shift e_j), times the value of
+    those factors on P_{m+s}: with λ = weight_partition(m),
+
+        Π_{i∈S} Π_{k=1..N} 2(λ_i − λ_k + (k − i)κ − sign·[k∈S]),
+
+    whose factor at k = i is the constant −2·sign.  The product is one
+    factored value, reduced once by trial division: no polynomial gcd.
+    """
     m = tuple(m)
     s = tuple(s)
     _require_dominant(m, N)
-    fn = _integrals.covered(SIGMA_TABLES, N, "step tables").get(s)
-    if fn is None:
-        raise ShiftNotTabulated(f"shift {s} has no tabulated step operator")
-    return _from_factored(*fn(*m))
+    _integrals.covered(STEP_SHIFTS, N, "step tables")
+    sign, subset, r = shift_decompose(s, N)
+    lam = weight_partition(m)
+    value = _factored((-2 * sign) ** r * 2 ** (r * (N - 1)),
+                      [(lam[i - 1] - lam[k - 1] - sign * (k in subset), k - i)
+                       for i in subset for k in range(1, N + 1) if k != i])
+    j = r if sign > 0 else N - r
+    if s != tuple(int(k == j) for k in range(1, N)):
+        kind, indices = dict(RECURRENCE_ROWS[N][j](*m))[s]
+        value = _fmul(value, _rc(kind, *indices))
+    return _from_factored(*value)

@@ -252,10 +252,10 @@ def suite_commutators(rank: int = 2, max_degree: int = 4) -> VerificationReport:
                    + ("" if r.is_zero else f", residual terms on {r.failures}"))
 
 
-@_suite(ranks=_ranks(_gg.SIGMA_TABLES), defaults={2: 2, None: 1})
+@_suite(ranks=_ranks(_gg.STEP_SHIFTS), defaults={2: 2, None: 1})
 def suite_sigma(rank: int = 2, max_components: Optional[int] = None) -> VerificationReport:
     N = rank + 1
-    shifts = _gg.tabulated_shifts(N)
+    shifts = _integrals.covered(_gg.STEP_SHIFTS, N, "sigma suite")
     bound = _default("sigma", rank, max_components)
     for m in itertools.product(range(bound + 1), repeat=rank):
         for s in shifts:

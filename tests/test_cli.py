@@ -397,6 +397,26 @@ class TestRecurrenceTable:
         rc, out, _ = run_cli(args + ["--format", "json"], capsys)
         assert rc == 0 and list(json.loads(out).values()).count("0") == 4
 
+    def test_rank3_sigma_rows_in_table_order(self, capsys):
+        # the single shifts, then the double shifts, as tabulated_shifts(4)
+        args = ["table", "--rank", "3", "--kind", "sigma", "--weight", "1,0,1"]
+        rc, out, _ = run_cli(args, capsys)
+        assert rc == 0 and out == (
+            "sigma[1,0,0] at (1, 0, 1)    -(32+144k+208k^2+96k^3)\n"
+            "sigma[-1,1,0] at (1, 0, 1)   (32k+64k^2)\n"
+            "sigma[0,-1,1] at (1, 0, 1)   0\n"
+            "sigma[0,0,-1] at (1, 0, 1)   (96+576k+864k^2+384k^3)/(1+3k)\n"
+            "sigma[0,0,1] at (1, 0, 1)    -(32+144k+208k^2+96k^3)\n"
+            "sigma[0,1,-1] at (1, 0, 1)   (32k+64k^2)\n"
+            "sigma[1,-1,0] at (1, 0, 1)   0\n"
+            "sigma[-1,0,0] at (1, 0, 1)   (96+576k+864k^2+384k^3)/(1+3k)\n"
+            "sigma[0,1,0] at (1, 0, 1)    -(1024k^2+6144k^3+13056k^4+11264k^5+3072k^6)\n"
+            "sigma[1,-1,1] at (1, 0, 1)   0\n"
+            "sigma[1,0,-1] at (1, 0, 1)   -(2304+18432k+55296k^2+78336k^3+52992k^4+13824k^5)\n"
+            "sigma[-1,0,1] at (1, 0, 1)   (768+3072k+3072k^2-1536k^3-3840k^4-1536k^5)\n"
+            "sigma[-1,1,-1] at (1, 0, 1)  (8192k^2+49152k^3+73728k^4+32768k^5)/(1+3k)\n"
+            "sigma[0,-1,0] at (1, 0, 1)   0\n")
+
 
 class TestRankCoverage:
     """The tabulated closed-form families cover ranks 2 and 3 (the order-3
@@ -434,6 +454,13 @@ class TestRankCoverage:
         rc, out, _ = run_cli(["table", "--rank", str(rank), "--kind", "lvector",
                               "--weight", weight], capsys)
         assert rc == 0 and out == expected
+
+    @pytest.mark.parametrize("rank", [-1, 1, 4])
+    def test_sigma_suite_names_itself(self, rank, capsys):
+        rc, out, err = run_cli(["verify", "--suite", "sigma", "--rank", str(rank)],
+                               capsys)
+        assert rc == 2 and not out and "sigma suite" in err
+        assert f"(rank {rank})" in err
 
     @pytest.mark.parametrize("rank", [-1, 0, 1, 4])
     def test_eigen_suite_at_any_rank(self, rank, capsys):

@@ -33,6 +33,7 @@ from gegenlab.gegenbauer import (
     l_vector,
     mu_vector,
     recurrence_coefficient,
+    shift_decompose,
     sigma_closed_form,
     step,
     tabulated_shifts,
@@ -111,6 +112,40 @@ class TestShiftVectors:
                     want = tuple(sum((k == i) - (k == i - 1) for i in subset)
                                  for k in range(1, N))
                     assert gegenbauer._mu_sum(subset, n) == want
+
+
+@functools.lru_cache(maxsize=None)
+def _enumerated_decompositions(N):
+    """The search shift_decompose once ran on every call, run once per N:
+    the first signed sum of r distinct elementary shifts that makes each
+    shift, by increasing r, then sign +1 before -1, then subset order."""
+    found = {}
+    for r in range(1, N):
+        for sign in (1, -1):
+            for subset in itertools.combinations(range(1, N + 1), r):
+                shift = tuple(sign * e for e in gegenbauer._mu_sum(subset, N - 1))
+                found.setdefault(shift, (sign, subset, r))
+    return found
+
+
+class TestShiftDecompose:
+    @pytest.mark.parametrize("N", range(2, 8))
+    def test_matches_the_enumeration(self, N):
+        reference = _enumerated_decompositions(N)
+        hits = 0
+        for s in itertools.product(range(-2, 3), repeat=N - 1):
+            if s in reference:
+                assert shift_decompose(s, N) == reference[s], s
+                hits += 1
+            else:
+                with pytest.raises(ShiftNotTabulated):
+                    shift_decompose(s, N)
+        assert hits == 2 ** N - 2
+
+    def test_wrong_rank(self):
+        with pytest.raises(ValueError) as err:
+            shift_decompose((1, 0), 4)
+        assert err.type is ValueError and "wrong rank" in str(err.value)
 
 
 class TestLShift:
@@ -506,9 +541,11 @@ class TestStep:
         for part in ("shift (1, 0)", "at (1, 1)", "N=3"):
             assert part in str(err.value)
 
-    def test_untabulated_shift(self):
+    @pytest.mark.parametrize("s", [(2, 0), (1, 1), (0, 0)],
+                             ids=lambda s: ",".join(map(str, s)))
+    def test_untabulated_shift(self, s):
         with pytest.raises(ShiftNotTabulated):
-            sigma_closed_form((0, 0), (2, 0), 3)
+            sigma_closed_form((0, 0), s, 3)
 
     def test_warm_steps_read_only_cached_coefficients(self, monkeypatch):
         # every Δ factor, double shifts' second ones too, evaluates the
@@ -707,6 +744,27 @@ class TestFactoredClosedForms:
             got = [sigma_closed_form(m, s, N) for m, s, N in cases]
         for (m, s, N), c in zip(cases, got):
             assert _canonical(c) == _canonical(_ORACLE_SIGMA[N][s](*m)), (m, s, N)
+
+
+class TestSigmaRoute:
+    """sigma_closed_form reads no step-side code, so the sigma suite checks
+    the engine's Δ against an independent closed form."""
+
+    STEP_SIDE = [(gegenbauer, name) for name in ("step", "_shifted_delta",
+                                                  "_symbolic_eigen", "expand_product",
+                                                  "_scaled_l", "l_vector")] + [
+                (integrals, name) for name in ("_delta", "_delta_at", "calibrate")]
+
+    def test_reads_no_step_side_code(self, monkeypatch):
+        cases = [(m, s, N) for m, N in TestFactoredClosedForms.SIGMA_WEIGHTS
+                 for s in tabulated_shifts(N)]
+        assert len(cases) == 784
+        with monkeypatch.context() as patch:
+            for module, name in self.STEP_SIDE:
+                patch.setattr(module, name, _refuse(name))
+            got = [sigma_closed_form(m, s, N) for m, s, N in cases]
+        for (m, s, N), c in zip(cases, got):
+            assert c == _ORACLE_SIGMA[N][s](*m), (m, s, N)
 
 
 def _peel_reference(r, m, N):
