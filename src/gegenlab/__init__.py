@@ -14,18 +14,13 @@ from .scalars import (
     lin,
 )
 from .symfun import (
-    NonPolynomialOutput,
     NonSymmetricInput,
     RankMismatch,
     Weight,
     XPolynomial,
-    XRational,
     ZPolynomial,
-    divide_exact,
     dominated_weights,
-    lift,
     partition_weight,
-    project,
     weight_partition,
     weighted_degree,
 )
@@ -35,7 +30,6 @@ from .integrals import (
     ConventionMismatch,
     EngineError,
     ZOperator,
-    apply_gauge_potential,
     apply_integral,
     apply_momentum,
     calibrate,

@@ -31,6 +31,14 @@ class UsageError(ValueError):
     pass
 
 
+def _particles(rank: int) -> int:
+    """The particle number N = rank + 1; a usage error that names the rank
+    when it is below 1."""
+    if rank < 1:
+        raise UsageError(f"rank {rank} is below 1 (N = rank + 1 needs at least 2 particles)")
+    return rank + 1
+
+
 def _parse_weight(text: str, rank: int):
     try:
         w = tuple(int(x) for x in text.split(","))
@@ -83,9 +91,9 @@ def _cached(cache_dir, rank: int, weight):
 
 
 def cmd_gen(args) -> int:
+    N = _particles(args.rank)
     weight = _parse_weight(args.weight, args.rank)
     kappa0 = _parse_kappa(args.kappa)
-    N = args.rank + 1
     if args.method == "recurrence":
         ig.covered(gg.RECURRENCE_ROWS, N, "recurrence method")
     cache_dir = ser.resolve_cache_dir(args.cache)
@@ -131,6 +139,7 @@ def cmd_operators(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    N = _particles(args.rank)
     weight = _parse_weight(args.weight, args.rank)
     kappa0 = _parse_kappa(args.kappa)
     if kappa0 is None:
@@ -138,14 +147,14 @@ def cmd_eval(args) -> int:
     point = _parse_point(args.point, args.rank)
     poly = _cached(ser.resolve_cache_dir(args.cache), args.rank, weight)
     if poly is None:
-        poly = gg.gen_eigen(weight, args.rank + 1)
+        poly = gg.gen_eigen(weight, N)
     value = poly.eval(point, kappa0)
     print(value)
     return EXIT_OK
 
 
 def _table_rows(args):
-    N = args.rank + 1
+    N = _particles(args.rank)
     weight = _parse_weight(args.weight, args.rank) if args.weight else (0,) * args.rank
     kappa0 = _parse_kappa(args.kappa)
 

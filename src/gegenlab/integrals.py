@@ -14,7 +14,8 @@ non-equivalent index assignments; the kappa power of a term is the number
 of gauge factors plus twice the number of curvature pairs, that is
 j - mom for a term with mom derivative factors.  The engine works with the
 real B_j and the integer momentum N x_j d/dx_j - d; the factors of i leave
-one sign per term shape (``TermShape.sign``) and a factor 2 per derivative.
+the sign (-1)^curv on a term with curv curvature pairs, and a factor 2 per
+derivative.
 
 So the x-space layer computes over the integers, one kappa power at a time.
 The lifted z-monomial f is symmetric and the momenta, the gauge rows and
@@ -84,14 +85,12 @@ from .symfun import (
     RankMismatch,
     Weight,
     XPolynomial,
-    XRational,
     ZPolynomial,
     _add_term,
     _coerce_scalar,
     _elementary_product,
     grlex_key,
     weighted_degree,
-    xr_sum,
 )
 
 SUPPORTED_ORDERS = (2, 3, 4)
@@ -139,77 +138,6 @@ def apply_momentum(f: XPolynomial, j: int) -> XPolynomial:
         if factor:
             out[e] = c * factor
     return XPolynomial._raw(N, out)
-
-
-def pair_potential(nvars: int, j: int, k: int) -> XRational:
-    """(x_j + x_k) / (x_j - x_k), the one-pair summand of B_j; antisymmetric
-    under swapping j and k."""
-    num = XPolynomial.variable(nvars, j) + XPolynomial.variable(nvars, k)
-    if j > k:
-        j, k = k, j
-        num = -num
-    return XRational(num, {(j, k): 1})
-
-
-@functools.lru_cache(maxsize=None)
-def _gauge_row(N: int, j: int) -> XRational:
-    """The real gauge row B_j over one common row denominator."""
-    return xr_sum((pair_potential(N, j, k) for k in range(1, N + 1) if k != j), N)
-
-
-def apply_gauge_potential(f: XRational, j: int) -> XRational:
-    """Multiply by the real gauge row B_j of particle j; the factor i of
-    A_j = i*B_j is carried by TermShape.sign (exact; the row's
-    denominator pairs are added to f's)."""
-    N = f.nvars
-    if not 1 <= j <= N:
-        raise ValueError(f"index {j} out of range")
-    return f * _gauge_row(N, j)
-
-
-def pair_curvature(nvars: int, a: int, b: int) -> XRational:
-    """-4 x_a x_b / (x_a - x_b)^2, the derivative of the gauge potential."""
-    if a > b:
-        a, b = b, a
-    e = [0] * nvars
-    e[a - 1] = 1
-    e[b - 1] = 1
-    num = XPolynomial.monomial(nvars, tuple(e), -4)
-    return XRational(num, {(a, b): 2})
-
-
-# ---------------------------------------------------------------------------
-# term shapes
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class TermShape:
-    """One term pattern of the gauge-transformed expansion of order j:
-    `curv` curvature pairs, `gauge` gauge factors, `mom` derivative factors,
-    using curv*2 + gauge + mom distinct indices."""
-    curv: int
-    gauge: int
-    mom: int
-
-    @property
-    def sign(self) -> int:
-        """(-i)^order * (2i)^mom * i^gauge / 2^mom, the factors of i from the
-        expansion, the derivative factors and the gauge factors.  Since
-        order = 2*curv + gauge + mom this equals (-1)^curv; the 2^mom is
-        left to the engine's assembly, which it shares with every shape of
-        the same mom."""
-        return -1 if self.curv % 2 else 1
-
-
-def term_shapes(order: int) -> tuple[TermShape, ...]:
-    """Every shape with 2*curv + gauge + mom = order and mom >= 1, most
-    derivative factors first; the purely multiplicative shapes are left to
-    normal ordering.  The engine's gauge weight is their closed form; the
-    per-placement reference of the tests reads the shapes, placing one
-    curvature pair, so the rule holds there for orders up to 4."""
-    return tuple(TermShape(c, order - 2 * c - m, m)
-                 for m in range(order, 0, -1)
-                 for c in range((order - m) // 2, -1, -1))
 
 
 # ---------------------------------------------------------------------------

@@ -1,23 +1,18 @@
 """Multivariate polynomial layer.
 
-Two polynomial rings and the bridge between them:
+Weights of A_n and the dominance cone, and two polynomial rings:
 
 * ``ZPolynomial`` lives in the independent symmetric coordinates
-  z_1..z_n (n = N-1), exponent vectors are weights of A_n;
-* ``XPolynomial`` lives in the underlying variables x_1..x_N and is where
-  the operator engine works;
-* ``lift`` substitutes z_i -> e_i(x), the elementary symmetric functions,
-  and ``project`` inverts it by leading-term elimination, fixing e_N = 1.
+  z_1..z_n (n = N-1), exponent vectors are weights of A_n; its
+  coefficients are KappaRational;
+* ``XPolynomial`` lives in the underlying variables x_1..x_N, where the
+  operator engine lifts a z-monomial z^w to the product of elementary
+  symmetric functions e_i(x)^(w_i) (``_elementary_product``).  Its
+  coefficients are Python ints on the engine's path (one power of kappa at
+  a time); a coefficient is zero when it tests false.
 
-``XRational`` carries the intermediate fractions produced by the gauge
-potential and the curvature, whose denominators are products of pairwise
-differences (x_j - x_k); ``divide_exact`` recovers the polynomial quotient
-and treats a nonzero remainder as an engine bug.
-
-``ZPolynomial`` coefficients are KappaRational.  The x-space classes keep
-the coefficients they are given, Python ints on the engine's path (one
-power of kappa at a time) and KappaRational through ``lift``; a coefficient
-is zero when it tests false.
+The engine reads its images back into the z_i through Schur polynomials,
+so this layer has no projection and no x-space fractions.
 """
 from __future__ import annotations
 
@@ -37,12 +32,8 @@ class RankMismatch(ValueError):
 
 
 class NonSymmetricInput(ValueError):
-    """Raised by project() on input that is not permutation invariant."""
-
-
-class NonPolynomialOutput(ArithmeticError):
-    """Raised when an exact division leaves a nonzero remainder; this signals
-    an operator-engine bug, not a user error."""
+    """Raised by the operator engine when a derivative image that must be
+    permutation invariant is not."""
 
 
 # ---------------------------------------------------------------------------
@@ -319,7 +310,7 @@ class ZPolynomial:
 
 class XPolynomial:
     """Sparse polynomial in x_1..x_N; coefficients are ints on the engine's
-    path and may be any ring element (KappaRational for ``lift``)."""
+    path and may be any ring element."""
 
     __slots__ = ("nvars", "terms")
 
@@ -347,39 +338,12 @@ class XPolynomial:
         return p
 
     @staticmethod
-    def zero(nvars: int) -> "XPolynomial":
-        return XPolynomial(nvars)
-
-    @staticmethod
     def one(nvars: int) -> "XPolynomial":
         return XPolynomial(nvars, {(0,) * nvars: 1})
-
-    @staticmethod
-    def monomial(nvars: int, expo: tuple, coeff=1) -> "XPolynomial":
-        return XPolynomial(nvars, {tuple(expo): coeff})
-
-    @staticmethod
-    def variable(nvars: int, j: int) -> "XPolynomial":
-        """The coordinate x_j, 1-based."""
-        e = [0] * nvars
-        e[j - 1] = 1
-        return XPolynomial(nvars, {tuple(e): 1})
 
     @property
     def is_zero(self) -> bool:
         return not self.terms
-
-    def __add__(self, other: "XPolynomial") -> "XPolynomial":
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            _add_term(out, e, c)
-        return XPolynomial._raw(self.nvars, out)
-
-    def __sub__(self, other: "XPolynomial") -> "XPolynomial":
-        return self + (-other)
-
-    def __neg__(self) -> "XPolynomial":
-        return XPolynomial._raw(self.nvars, {e: -c for e, c in self.terms.items()})
 
     def __mul__(self, other: "XPolynomial") -> "XPolynomial":
         out: dict[tuple, object] = {}
@@ -390,9 +354,6 @@ class XPolynomial:
             for ea, ca in a.items():
                 _add_term(out, tuple(map(add, ea, eb)), ca * cb)
         return XPolynomial._raw(self.nvars, out)
-
-    def scale(self, s) -> "XPolynomial":
-        return XPolynomial(self.nvars, {e: c * s for e, c in self.terms.items()})
 
     def swap_violation(self, swaps: Optional[Iterable[int]] = None) -> Optional[tuple[int, int]]:
         """First adjacent transposition (j, j+1), 1-based, for j in swaps
@@ -419,142 +380,7 @@ class XPolynomial:
 
 
 # ---------------------------------------------------------------------------
-# x-space fractions
-# ---------------------------------------------------------------------------
-
-@functools.lru_cache(maxsize=None)
-def _binomial_power(nvars: int, a: int, b: int, k: int) -> XPolynomial:
-    """(x_a - x_b)^k with a < b, 1-based, cached."""
-    base = XPolynomial.variable(nvars, a) - XPolynomial.variable(nvars, b)
-    out = XPolynomial.one(nvars)
-    for _ in range(k):
-        out = out * base
-    return out
-
-
-class XRational:
-    """XPolynomial numerator over a denominator of pairwise differences
-    (x_j - x_k)^e, a < b; divide_exact recovers the quotient."""
-
-    __slots__ = ("num", "den_pairs")
-
-    def __init__(self, num: XPolynomial,
-                 den_pairs: Optional[Mapping[tuple[int, int], int]] = None):
-        pairs: dict[tuple[int, int], int] = {}
-        if den_pairs:
-            for (a, b), e in den_pairs.items():
-                if e < 0:
-                    raise ValueError("negative denominator exponent")
-                if e:
-                    if not 1 <= a < b <= num.nvars:
-                        raise ValueError(f"bad pair ({a},{b})")
-                    pairs[(a, b)] = e
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den_pairs", pairs)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("XRational is immutable; build a new one")
-
-    def __reduce__(self):
-        return XRational, (self.num, self.den_pairs)
-
-    @property
-    def nvars(self) -> int:
-        return self.num.nvars
-
-    def __mul__(self, other: "XRational") -> "XRational":
-        pairs = dict(self.den_pairs)
-        for key, e in other.den_pairs.items():
-            pairs[key] = pairs.get(key, 0) + e
-        return XRational(self.num * other.num, pairs)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, XRational):
-            return NotImplemented
-        return self.num == other.num and self.den_pairs == other.den_pairs
-
-    def __repr__(self):
-        return f"XRational({self.num!r}, pairs={self.den_pairs})"
-
-
-def xr_sum(items: Iterable[XRational], nvars: int) -> XRational:
-    """Sum over one common denominator: numerators over equal denominators
-    are added first, then each such sum is raised to the largest power of
-    every pair factor and the results are added."""
-    pairs: dict[tuple[int, int], int] = {}
-    by_den: dict[tuple, dict] = {}
-    for it in items:
-        for key, e in it.den_pairs.items():
-            pairs[key] = max(pairs.get(key, 0), e)
-        acc = by_den.setdefault(tuple(sorted(it.den_pairs.items())), {})
-        for e, c in it.num.terms.items():
-            _add_term(acc, e, c)
-    total: dict = {}
-    for den_key, acc in by_den.items():
-        num, den = XPolynomial._raw(nvars, acc), dict(den_key)
-        for (a, b), e in pairs.items():
-            if e > den.get((a, b), 0):
-                num = num * _binomial_power(nvars, a, b, e - den.get((a, b), 0))
-        for e, c in num.terms.items():
-            _add_term(total, e, c)
-    return XRational(XPolynomial._raw(nvars, total), pairs)
-
-
-def _div_binomial(p: XPolynomial, a: int, b: int) -> XPolynomial:
-    """Exact quotient p / (x_a - x_b), a,b 1-based; synthetic division in x_a."""
-    ai = a - 1
-    bi = b - 1
-    if p.is_zero:
-        return p
-    # group terms by the exponent of x_a
-    layers: dict[int, dict] = {}
-    top = 0
-    for e, c in p.terms.items():
-        d = e[ai]
-        top = max(top, d)
-        reduced = list(e)
-        reduced[ai] = 0
-        layers.setdefault(d, {})[tuple(reduced)] = c
-    quot: dict = {}
-    carry: dict = {}
-    for d in range(top, 0, -1):
-        # quotient layer at x_a^(d-1) = P_d + x_b * (previous layer)
-        layer: dict = {}
-        for e, c in layers.get(d, {}).items():
-            _add_term(layer, e, c)
-        for e, c in carry.items():
-            ne = list(e)
-            ne[bi] += 1
-            _add_term(layer, tuple(ne), c)
-        for e, c in layer.items():
-            qe = list(e)
-            qe[ai] = d - 1
-            quot[tuple(qe)] = c
-        carry = layer
-    # remainder = P_0 + x_b * carry must vanish
-    rem: dict = {}
-    for e, c in layers.get(0, {}).items():
-        _add_term(rem, e, c)
-    for e, c in carry.items():
-        ne = list(e)
-        ne[bi] += 1
-        _add_term(rem, tuple(ne), c)
-    if rem:
-        raise NonPolynomialOutput("non-polynomial operator output")
-    return XPolynomial._raw(p.nvars, quot)
-
-
-def divide_exact(f: XRational) -> XPolynomial:
-    """Exact quotient of f's numerator by its recorded denominator factors."""
-    num = f.num
-    for (a, b), e in sorted(f.den_pairs.items()):
-        for _ in range(e):
-            num = _div_binomial(num, a, b)
-    return num
-
-
-# ---------------------------------------------------------------------------
-# the elementary-symmetric bridge
+# products of elementary symmetric functions
 # ---------------------------------------------------------------------------
 
 @functools.lru_cache(maxsize=None)
@@ -586,41 +412,3 @@ def _elementary_product(nvars: int, expo: tuple[int, ...]) -> XPolynomial:
         if k:
             out = out * _elementary_power(nvars, i, k)
     return out
-
-
-def lift(p: ZPolynomial, nvars: int) -> XPolynomial:
-    """Substitute z_i -> e_i(x) for i = 1..n; requires rank = N - 1."""
-    if p.rank != nvars - 1:
-        raise RankMismatch(f"rank {p.rank} polynomial cannot lift to {nvars} variables")
-    out = XPolynomial.zero(nvars)
-    for w, c in p.terms.items():
-        out = out + _elementary_product(nvars, w).scale(c)
-    return out
-
-
-def project(f: XPolynomial) -> ZPolynomial:
-    """Unique expression of a symmetric polynomial in e_1..e_N, with e_N = 1.
-
-    Uses leading-term elimination under lexicographic order; raises
-    NonSymmetricInput naming a violating transposition when the input is
-    not symmetric.
-    """
-    viol = f.swap_violation()
-    if viol is not None:
-        raise NonSymmetricInput(
-            f"input not symmetric under x_{viol[0]} <-> x_{viol[1]}")
-    nvars = f.nvars
-    rank = nvars - 1
-    work = dict(f.terms)
-    out: dict = {}
-    while work:
-        alpha = max(work)
-        c = work[alpha]
-        if any(alpha[i] < alpha[i + 1] for i in range(nvars - 1)):
-            raise NonSymmetricInput(
-                f"leading exponent {alpha} is not weakly decreasing")
-        e_expo = tuple(alpha[i] - alpha[i + 1] for i in range(nvars - 1)) + (alpha[-1],)
-        _add_term(out, e_expo[:rank], c)
-        for e, ec in _elementary_product(nvars, e_expo).scale(-c).terms.items():
-            _add_term(work, e, ec)
-    return ZPolynomial(rank, out)

@@ -442,6 +442,19 @@ class TestRankCoverage:
                                + (weight if args[0] == "gen" else []), capsys)
         assert rc == 2 and not out and err.startswith("error:")
 
+    @pytest.mark.parametrize("rank", [0, -1])
+    @pytest.mark.parametrize("args", [
+        ["gen", "--weight", "1"],
+        ["eval", "--weight", "1", "--kappa", "1", "--point", "1"],
+        ["table", "--kind", "lvector", "--weight", "1"],
+        ["table", "--kind", "lvector"],
+        ["table", "--kind", "sigma"],
+    ])
+    def test_rank_below_one_is_named(self, args, rank, capsys):
+        rc, out, err = run_cli(args + ["--rank", str(rank)], capsys)
+        assert rc == 2 and not out
+        assert err.startswith(f"error: rank {rank} is below 1 ")
+
     @pytest.mark.parametrize("rank,weight,expected", [
         (1, "2", "l[1] at (2,)  (2+k)\nl[2] at (2,)  -(2+k)\n"),
         (4, "2,0,0,0", "l[1] at (2, 0, 0, 0)  (16/5+4k)\n"

@@ -1,7 +1,6 @@
 """Operator engine: coordinate dictionary, integral actions, transcriptions,
 characteristic operator, commutativity."""
 import copy
-import functools
 import itertools
 import math
 import numbers
@@ -12,6 +11,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import xspace_reference as ref
 from gegenlab import gegenbauer, integrals
 from gegenlab.scalars import (
     KappaPolynomial,
@@ -20,56 +20,25 @@ from gegenlab.scalars import (
     kr,
     lin,
 )
-from gegenlab.symfun import (
-    NonSymmetricInput,
-    XPolynomial,
-    XRational,
-    ZPolynomial,
-    _elementary_product,
-    divide_exact,
-    project,
-    weighted_degree,
-    xr_sum,
-)
+from gegenlab.symfun import NonSymmetricInput, XPolynomial, ZPolynomial, weighted_degree
 from gegenlab.integrals import (
     Calibration,
     EngineError,
-    TermShape,
-    apply_gauge_potential,
     apply_integral,
     apply_momentum,
     calibrate,
     char_apply,
     commutator_residual,
-    pair_curvature,
-    pair_potential,
-    term_shapes,
     transcribed_operator,
 )
 from gegenlab.gegenbauer import char_eigenvalue, gen_eigen, l_vector
 
 
-def xvar(n, j):
-    return XPolynomial.variable(n, j)
-
-
-def _eval_xpoly(p, xs):
-    total = Fraction(0)
-    for e, c in p.terms.items():
-        term = Fraction(c)  # the engine's x-space coefficients are ints
-        for x, k in zip(xs, e):
-            if k:
-                term = term * Fraction(x ** k)
-        total = total + term
-    return total
-
-
-def _eval_xrational(f, xs):
-    num = _eval_xpoly(f.num, xs)
-    den = Fraction(1)
-    for (a, b), e in f.den_pairs.items():
-        den = den * Fraction((xs[a - 1] - xs[b - 1]) ** e)
-    return num / den
+def _eval_fraction(f, xs):
+    """A reference fraction (numerator, {(a, b): k}) at the point xs."""
+    num, den = f
+    value = sum(c * math.prod(x ** k for x, k in zip(xs, e)) for e, c in num.items())
+    return value / math.prod((xs[a] - xs[b]) ** k for (a, b), k in den.items())
 
 
 def _values():
@@ -81,7 +50,6 @@ def _values():
         kr(2) / (lin(1, 1) * lin(-1, 2)),
         z,
         x,
-        apply_gauge_potential(XRational(x, {(1, 3): 2}), 2),
         transcribed_operator(3, 3),
     ]
 
@@ -107,7 +75,7 @@ class TestPickleAndCopy:
 class TestMomentum:
     def test_degree_shift(self):
         # N x_1 d/dx_1 - d on x1 x2 at N = 3: 3*1 - 2 = 1
-        f = XPolynomial.monomial(3, (1, 1, 0))
+        f = XPolynomial(3, {(1, 1, 0): 1})
         assert apply_momentum(f, 1) == f
 
     def test_constant_is_killed(self):
@@ -117,29 +85,23 @@ class TestMomentum:
         rng = random.Random(11)
         for _ in range(8):
             e = tuple(rng.randrange(0, 4) for _ in range(3))
-            f = XPolynomial.monomial(3, e, kr(rng.randrange(1, 5)))
-            total = XPolynomial.zero(3)
-            for j in (1, 2, 3):
-                total = total + apply_momentum(f, j)
-            assert total.is_zero
+            f = XPolynomial(3, {e: kr(rng.randrange(1, 5))})
+            images = [apply_momentum(f, j).terms for j in (1, 2, 3)]
+            assert all(set(image) <= {e} for image in images)
+            assert sum(image.get(e, 0) for image in images) == 0
 
 
 class TestGaugePotential:
-    def test_two_particles(self):
-        f = XRational(XPolynomial.one(2))
-        g = apply_gauge_potential(f, 1)
-        assert g.den_pairs == {(1, 2): 1}
-        assert g.num == xvar(2, 1) + xvar(2, 2)
+    """The reference's real gauge row B_j over its row denominator."""
 
-    def test_pair_antisymmetry(self):
-        a = pair_potential(3, 1, 2)
-        b = pair_potential(3, 2, 1)
-        assert a.num == -b.num and a.den_pairs == b.den_pairs
+    def test_two_particles(self):
+        assert ref.gauge_row(2, 0) == ({(1, 0): 1, (0, 1): 1}, {(0, 1): 1})
 
     def test_cancellation_to_polynomial(self):
-        x1, x2 = xvar(2, 1), xvar(2, 2)
-        f = XRational((x1 - x2) * (x1 - x2))
-        assert divide_exact(apply_gauge_potential(f, 1)) == (x1 + x2) * (x1 - x2)
+        # (x1 - x2)^2 B_1 = (x1 + x2)(x1 - x2)
+        square = {(2, 0): 1, (1, 1): -2, (0, 2): 1}
+        quotient = ref.divide_exact(*ref.times((square, {}), ref.gauge_row(2, 0)))
+        assert quotient == {(2, 0): 1, (0, 2): -1}
 
 
 class TestCoordinateDictionary:
@@ -171,22 +133,25 @@ class TestCoordinateDictionary:
             assert lhs == Fraction(-4) * xj * xk / (xj - xk) ** 2
 
     def test_gauge_row_matches_pair_sum(self):
-        rng = random.Random(31)
         xs = (Fraction(3, 2), Fraction(7), Fraction(1, 5))
-        row = apply_gauge_potential(XRational(XPolynomial.one(3)), 2)
-        direct = sum(
-            (_eval_xrational(pair_potential(3, 2, k), xs) for k in (1, 3)),
-            Fraction(0))
-        assert _eval_xrational(row, xs) == direct
+        direct = sum((xs[1] + xs[k]) / (xs[1] - xs[k]) for k in (0, 2))
+        assert _eval_fraction(ref.gauge_row(3, 1), xs) == direct
 
 
 class TestTermShapes:
     def test_rule_reproduces_the_written_table(self):
-        T = TermShape
-        assert term_shapes(2) == (T(0, 0, 2), T(0, 1, 1))
-        assert term_shapes(3) == (T(0, 0, 3), T(0, 1, 2), T(1, 0, 1), T(0, 2, 1))
-        assert term_shapes(4) == (T(0, 0, 4), T(0, 1, 3), T(1, 0, 2),
-                                  T(0, 2, 2), T(1, 1, 1), T(0, 3, 1))
+        # (curv, gauge, mom)
+        assert ref.term_shapes(2) == ((0, 0, 2), (0, 1, 1))
+        assert ref.term_shapes(3) == ((0, 0, 3), (0, 1, 2), (1, 0, 1), (0, 2, 1))
+        assert ref.term_shapes(4) == ((0, 0, 4), (0, 1, 3), (1, 0, 2),
+                                      (0, 2, 2), (1, 1, 1), (0, 3, 1))
+        # two disjoint curvature pairs from order 5
+        assert (2, 0, 1) in ref.term_shapes(5)
+
+    def test_places_every_set_of_disjoint_pairs(self):
+        # one placement of curv 2 on four indices per perfect matching: 3
+        assert [p for _, _, p in ref.placements(5, 1, range(1, 5)) if len(p) == 2] == [
+            ((1, 2), (3, 4)), ((1, 3), (2, 4)), ((1, 4), (2, 3))]
 
 
 class TestApplyIntegral:
@@ -242,7 +207,7 @@ class TestEngineErrors:
 
     def test_asymmetric_derivative_image(self, monkeypatch):
         monkeypatch.setattr(integrals, "_elementary_product",
-                            lambda n, w: XPolynomial.variable(n, 1))
+                            lambda n, w: XPolynomial(n, {(1,) + (0,) * (n - 1): 1}))
         self._assert_names_inputs(NonSymmetricInput, 0)
 
     def test_fractional_projection(self, monkeypatch):
@@ -265,71 +230,6 @@ class TestEngineErrors:
 def _z_monomial_weights(rank, degree):
     return [w for w in itertools.product(range(degree + 1), repeat=rank)
             if weighted_degree(w) <= degree]
-
-
-@functools.lru_cache(maxsize=None)
-def _placement_engine(order, w, N):
-    """The engine as one XRational per placement of the derivative, gauge
-    and curvature factors, raised to one common denominator by xr_sum for
-    each mom, divided exactly and projected; the reference for the
-    alternant sum of ``_engine_monomial``."""
-    f = _elementary_product(N, w)
-    indices = range(1, N + 1)
-    groups = {}
-    for shape in term_shapes(order):
-        parts = groups.setdefault(shape.mom, [])
-        for mset in itertools.combinations(indices, shape.mom):
-            g = f
-            for a in mset:
-                g = apply_momentum(g, a)
-            if g.is_zero:
-                continue
-            if shape.sign < 0:
-                g = -g
-            rest = [a for a in indices if a not in mset]
-            for bset in itertools.combinations(rest, shape.gauge):
-                term = XRational(g)
-                for a in bset:
-                    term = apply_gauge_potential(term, a)
-                if shape.curv:
-                    left = [a for a in rest if a not in bset]
-                    for vpair in itertools.combinations(left, 2):
-                        parts.append(term * pair_curvature(N, *vpair))
-                else:
-                    parts.append(term)
-    image = {}
-    for mom, parts in groups.items():
-        power = order - mom
-        for v, c in project(divide_exact(xr_sum(parts, N))).terms.items():
-            value = c.constant_value() * 2 ** mom * N ** power
-            assert value.denominator == 1
-            image.setdefault(v, [0] * order)[power] = int(value)
-    for cs in image.values():
-        while not cs[-1]:
-            cs.pop()
-    return tuple((v, tuple(cs)) for v, cs in image.items())
-
-
-def _gauge_value(order, mom, N, xs):
-    """The gauge and curvature factors of the order-j terms with mom
-    derivative factors, summed over their placements on mom+1..N, at the
-    point xs."""
-    def row(b):
-        return sum((xs[b] + xs[k]) / (xs[b] - xs[k]) for k in range(N) if k != b)
-
-    rest = range(mom, N)
-    total = Fraction(0)
-    for shape in term_shapes(order):
-        if shape.mom != mom:
-            continue
-        for bset in itertools.combinations(rest, shape.gauge):
-            term = shape.sign * math.prod(map(row, bset))
-            if shape.curv:
-                left = [a for a in rest if a not in bset]
-                term *= sum(-4 * xs[a] * xs[b] / (xs[a] - xs[b]) ** 2
-                            for a, b in itertools.combinations(left, 2))
-            total += term
-    return total
 
 
 def _block_alternant(terms, mom, N, xs):
@@ -375,10 +275,11 @@ class TestOrbitSum:
                 if x not in xs:
                     xs.append(x)
             vandermonde = math.prod(a - b for a, b in itertools.combinations(xs, 2))
-            for order in range(2, min(N, 4) + 1):
+            # order 5 places two disjoint curvature pairs
+            for order in range(2, min(N, 5) + 1):
                 for mom in range(1, order + 1):
                     terms = integrals._gauge_weight(order, mom, N)
-                    assert (_gauge_value(order, mom, N, xs) * vandermonde
+                    assert (ref.gauge_value(order, mom, N, xs) * vandermonde
                             == _block_alternant(terms, mom, N, xs)), (order, mom, N)
 
     @pytest.mark.parametrize("N,order", [(3, 2), (3, 3), (4, 2), (4, 3), (4, 4),
@@ -387,22 +288,13 @@ class TestOrbitSum:
         for w in _z_monomial_weights(N - 1, _PLACEMENT_DEGREE[N]):
             image = integrals._engine_monomial(order, w, N)
             assert [v for v, _ in image] == sorted(v for v, _ in image)
-            assert dict(image) == dict(_placement_engine(order, w, N)), w
+            assert dict(image) == ref.placement_engine(order, w, N), w
 
     @settings(max_examples=30, deadline=None, database=None)
     @given(_placement_case())
     def test_drawn_monomial_equals_the_placement_sum(self, case):
         assert (dict(integrals._engine_monomial.__wrapped__(*case))
-                == dict(_placement_engine(*case)))
-
-
-def _alternant(v):
-    """a_v = sum sgn(σ) x^(σv) over every permutation σ."""
-    terms = {}
-    for perm in itertools.permutations(range(len(v))):
-        odd = sum(a > b for a, b in itertools.combinations(perm, 2)) % 2
-        terms[tuple(v[p] for p in perm)] = -1 if odd else 1
-    return XPolynomial(len(v), terms)
+                == ref.placement_engine(*case))
 
 
 class TestSchurImage:
@@ -411,14 +303,11 @@ class TestSchurImage:
 
     @pytest.mark.parametrize("N", [3, 4, 5])
     def test_equals_the_projected_bialternant(self, N):
-        pairs = dict.fromkeys(itertools.combinations(range(1, N + 1), 2), 1)
         for size in range(7):
             for lam in _partitions(size, N):
-                quotient = divide_exact(XRational(
-                    _alternant([p + N - 1 - i for i, p in enumerate(lam)]), pairs))
                 image = integrals._schur_image(lam, N)
                 assert all(type(c) is int for _, c in image)
-                assert ZPolynomial(N - 1, {v: kr(c) for v, c in image}) == project(quotient), lam
+                assert dict(image) == ref.bialternant_image(lam, N), lam
 
 
 def _partitions(size, parts, largest=None):
