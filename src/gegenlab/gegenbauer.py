@@ -108,9 +108,6 @@ class LVector:
             raise ValueError(f"component {j} out of range 1..{self.N}")
         return lin(*self.entries[j - 1])
 
-    def polynomials(self) -> tuple[KappaPolynomial, ...]:
-        return tuple(KappaPolynomial.linear(c, s) for c, s in self.entries)
-
     def __iter__(self):
         return iter(self.entries)
 
@@ -131,16 +128,16 @@ def _scaled_l(m: Weight, N: int) -> tuple[tuple[int, int], ...]:
 
 def char_eigenvalue(m: Weight, N: int) -> list[KappaRational]:
     """Coefficients, ascending in t, of the spectral product
-    prod_j (t - l_j) for the weight m."""
-    lv = l_vector(m, N)
-    coeffs = [KappaPolynomial.one()]
-    for lp in lv.polynomials():
-        nxt = [KappaPolynomial.zero()] * (len(coeffs) + 1)
-        for i, c in enumerate(coeffs):
-            nxt[i] = nxt[i] + c * (-lp)
-            nxt[i + 1] = nxt[i + 1] + c
-        coeffs = nxt
-    return [KappaRational(c) for c in coeffs]
+    prod_j (t - l_j) for the weight m: N^-N prod_j (u - N l_j) in u = N t,
+    multiplied out on the integer pairs of ``_scaled_l``, with the
+    coefficient of u^k over N^(N-k) reduced once."""
+    _require_dominant(m, N)
+    coeffs: list[tuple] = [(1,)]
+    for c, s in _scaled_l(m, N):
+        root = _padd((-c,), (0, -s))
+        coeffs = [_padd(_pmul(root, cf), low)
+                  for cf, low in zip(coeffs + [()], [()] + coeffs)]
+    return [_canonical(cf, N ** (N - k), ()) for k, cf in enumerate(coeffs)]
 
 
 def l_elementary(m: Weight, N: int, j: int) -> KappaRational:

@@ -31,7 +31,8 @@ an alternant over V, and Jacobi's bialternant a_{λ+δ} / a_δ = s_λ
 (Macdonald I (3.1)) reads it as a sum of Schur polynomials, whose images
 are dual Jacobi–Trudi determinants in the z_i (I (3.5)).  Each mom gives
 a z-polynomial Z_mom with integer coefficients, with no exact division and
-no projection per image.  The single assembly step
+no projection per image.  Only e_(j - mom) in H depends on j, so one pass
+per monomial (``_engine_pass``) serves every order.  The assembly step
 
     sum over mom of  kappa^(j - mom) * 2^mom * N^(j - mom) * Z_mom
 
@@ -208,56 +209,78 @@ def _schur_image(lam: Weight, N: int) -> tuple:
 
 
 @functools.lru_cache(maxsize=None)
-def _engine_monomial(order: int, w: Weight, N: int) -> tuple:
-    """Raw engine action on the single monomial z^w (natural normalization),
-    as (weight, integer κ-polynomial) pairs over the denominator N^order,
-    sorted by weight.  f = z^w lifted is symmetric and the factors are
-    S_N-equivariant, so the terms with mom derivative factors sum to the
-    C(N, mom) index-set images of g * H / V, for g = D_1..D_mom f and H / V
-    the ``_gauge_weight``.  g is symmetric and H antisymmetric on each
-    block, so that sum is A / V with A = sum c*d*a_{β+γ} over the kept terms
-    c*x^β of H and every term d*x^γ of g, where a_v is the alternant of x^v:
-    zero when v has a repeated entry, and sgn * a_α for α = sort(v)
-    otherwise.  A / V is the sum of A_α s_{α-δ}, read off ``_schur_image``."""
+def _engine_pass(w: Weight, N: int, top: int) -> tuple:
+    """Raw engine action of the orders 2..top on the single monomial z^w
+    (natural normalization): at index j - 2 the order-j image, as (weight,
+    integer κ-polynomial) pairs over N^j sorted by weight, the same for
+    every top >= j.  With g = D_1..D_mom f for f = z^w lifted, the terms
+    with mom derivative factors give A / V, A = sum c*d*a_{β+γ} over the
+    kept terms c*x^β of ``_gauge_weight`` and the terms d*x^γ of g; the
+    alternant a_v is zero when v has a repeated entry and sgn * a_α for
+    α = sort(v) otherwise, and A / V = sum A_α s_{α-δ} (``_schur_image``).
+    Every order j >= mom has the same g and shuffles β, with c = e_{j-mom},
+    so one derivative chain serves them all: per mom, g is checked once,
+    each distinct β+γ is sorted and signed once and each Schur image read
+    once, for a vector over the orders.  The checks run from the highest
+    mom down and name the highest order."""
     f = _elementary_product(N, w)
-    delta = range(N - 1, -1, -1)
-    image: dict[Weight, list[int]] = {}
-    for mom in range(order, 0, -1):
-        g = f
-        for a in range(1, mom + 1):
-            g = apply_momentum(g, a)
+    chain = list(itertools.accumulate(range(1, top + 1), apply_momentum, initial=f))
+    images: list[dict[Weight, list[int]]] = [{} for _ in range(2, top + 1)]
+    # v packed as sum v_i << (bits * i), so that β + γ is one addition,
+    # -> (sort(v), sign), or () when v has a repeated entry
+    bits = (max(map(max, f.terms)) + N).bit_length()
+    shifts = range(0, bits * N, bits)
+    sorts: dict[int, tuple] = {}
+    for mom in range(top, 0, -1):
+        g = chain[mom]
         if g.is_zero:
             continue
-        power = order - mom
-        context = f"engine order {order}, weight {w}, N={N}, κ power {power}"
         viol = g.swap_violation(j for j in range(1, N) if j != mom)
         if viol is not None:
-            raise NonSymmetricInput(f"{context}: D_1..D_{mom} f not symmetric"
-                                    f" under x_{viol[0]} <-> x_{viol[1]}")
-        alternant: dict[tuple, int] = {}
-        for beta, c in _gauge_weight(order, mom, N):
-            for gamma, d in g.terms.items():
-                v = tuple(map(operator.add, beta, gamma))
-                if len(set(v)) < N:
-                    continue
-                odd = sum(a < b for a, b in itertools.combinations(v, 2)) % 2
-                alpha = tuple(sorted(v, reverse=True))
-                alternant[alpha] = alternant.get(alpha, 0) + (-c * d if odd else c * d)
-        z: dict[Weight, int] = {}
-        for alpha, a in alternant.items():
-            if a:
-                for v, s in _schur_image(tuple(map(operator.sub, alpha, delta)), N):
-                    z[v] = z.get(v, 0) + a * s
-        grade = 2 ** mom * N ** power
-        for v, c in z.items():
-            if not isinstance(c, int):
-                raise EngineError(f"{context}: coefficient {c!r} is not an integer")
-            if c:
-                image.setdefault(v, [0] * order)[power] = grade * c
-    for cs in image.values():
-        while not cs[-1]:
-            cs.pop()
-    return tuple(sorted((v, tuple(cs)) for v, cs in image.items()))
+            raise NonSymmetricInput(
+                f"engine order {top}, weight {w}, N={N}, κ power {top - mom}: D_1..D_{mom}"
+                f" f not symmetric under x_{viol[0]} <-> x_{viol[1]}")
+        orders = range(max(mom, 2), top + 1)
+        rows: dict[tuple, list[int]] = {}
+        for k, j in enumerate(orders):
+            for beta, c in _gauge_weight(j, mom, N):
+                rows.setdefault(beta, [0] * len(orders))[k] = c
+        terms = [(sum(map(operator.lshift, gamma, shifts)), gamma, d)
+                 for gamma, d in g.terms.items()]
+        alternant: dict[tuple, list[int]] = {}
+        for beta, cs in rows.items():
+            packed = sum(map(operator.lshift, beta, shifts))
+            part: dict[tuple, int] = {}
+            for key, gamma, d in terms:
+                key += packed
+                hit = sorts.get(key)
+                if hit is None:
+                    v = tuple(map(operator.add, beta, gamma))
+                    hit = sorts[key] = () if len(set(v)) < N else (
+                        tuple(sorted(v, reverse=True)),
+                        -1 if sum(a < b for a, b in itertools.combinations(v, 2)) % 2 else 1)
+                if hit:
+                    part[hit[0]] = part.get(hit[0], 0) + hit[1] * d
+            for alpha, a in part.items():
+                acc = alternant.setdefault(alpha, [0] * len(orders))
+                for k, c in enumerate(cs):
+                    acc[k] += c * a
+        z: list[dict[Weight, int]] = [{} for _ in orders]
+        for alpha, acc in alternant.items():
+            schur = _schur_image(tuple(map(operator.sub, alpha, range(N - 1, -1, -1))), N)
+            for zk, a in zip(z, acc):
+                for v, s in schur if a else ():
+                    zk[v] = zk.get(v, 0) + a * s
+        for j, zk in zip(orders, z):
+            for v, c in zk.items():
+                if not isinstance(c, int):
+                    raise EngineError(f"engine order {j}, weight {w}, N={N}, κ power"
+                                      f" {j - mom}: coefficient {c!r} is not an integer")
+                if c:  # the powers j - mom rise as mom falls
+                    cs = images[j - 2].setdefault(v, [])
+                    cs += [0] * (j - mom - len(cs)) + [2 ** mom * N ** (j - mom) * c]
+    return tuple(tuple(sorted((v, tuple(cs)) for v, cs in image.items()))
+                 for image in images)
 
 
 def _split(p: ZPolynomial) -> tuple[Numerators, IntPoly]:
@@ -279,16 +302,18 @@ def _rebuild(rank: int, nums: Numerators, D: IntPoly) -> ZPolynomial:
                                    for w, n in nums.items()})
 
 
-def _integral(order: int, nums: Numerators, N: int) -> Numerators:
-    """N^order times the order-j integral, on numerators over a common
-    denominator."""
-    out: Numerators = {}
+def _integral(orders: range, nums: Numerators, N: int) -> list[Numerators]:
+    """N^j times the order-j integral for each j in orders, on numerators
+    over a common denominator, from one engine pass per monomial."""
+    outs: list[Numerators] = [{} for _ in orders]
     for w, c in nums.items():
-        for v, e in _engine_monomial(order, w, N):
-            _add_num(out, v, _pmul(c, e))
-    if order == 2:
-        out = {w: _pmul(c, (-1,)) for w, c in out.items()}
-    return out
+        images = _engine_pass(w, N, orders[-1])
+        for out, j in zip(outs, orders):
+            for v, e in images[j - 2]:
+                _add_num(out, v, _pmul(c, e))
+    if orders[0] == 2:
+        outs[0] = {w: _pmul(c, (-1,)) for w, c in outs[0].items()}
+    return outs
 
 
 def apply_integral(order: int, p: ZPolynomial, N: Optional[int] = None) -> ZPolynomial:
@@ -306,7 +331,8 @@ def apply_integral(order: int, p: ZPolynomial, N: Optional[int] = None) -> ZPoly
     if N < order:
         raise ValueError(f"order {order} needs at least {order} particles, got {N}")
     nums, D = _split(p)
-    return _rebuild(p.rank, _integral(order, nums, N), _pmul(D, (N ** order,)))
+    image, = _integral(range(order, order + 1), nums, N)
+    return _rebuild(p.rank, image, _pmul(D, (N ** order,)))
 
 
 # ---------------------------------------------------------------------------
@@ -425,8 +451,12 @@ class Calibration:
 
 @functools.lru_cache(maxsize=None)
 def calibrate(N: int) -> Calibration:
-    """Fix (scale_j, offset_j) for j = 2..N on known eigenpolynomials and
-    verify on a fourth one, CALIBRATION_WEIGHT[N]."""
+    """Fix (scale_j, offset_j) for j = 2..N on z_1 and verify them on
+    known eigenpolynomials, CALIBRATION_WEIGHT[N] among them.  Both run on
+    integer numerators: with X / N^j the order-j image of p = n / D and
+    l_j(w) - offset_j = P / Q, the check scale_j * X = N^j (P / Q) n is
+    cross-multiplied, and the fit on z_1 is the ratio of the leading
+    coefficients of N^j P and Q X, with the same product as its check."""
     extra_w = covered(CALIBRATION_WEIGHT, N, "calibration")
     from . import gegenbauer as gg
 
@@ -434,28 +464,30 @@ def calibrate(N: int) -> Calibration:
     zero_w = (0,) * rank
     e1_w = tuple(1 if i == 0 else 0 for i in range(rank))
     en_w = tuple(1 if i == rank - 1 else 0 for i in range(rank))
-    vectors = [gg.gen_eigen(w, N) for w in (e1_w, en_w, extra_w)]
     weights = [e1_w, en_w, extra_w]
-
+    orders = range(2, N + 1)
+    splits = [_split(gg.gen_eigen(w, N))[0] for w in weights]
+    images = [_integral(orders, nums, N) for nums in [{e1_w: _ONE}] + splits]
     scales: dict[int, Fraction] = {}
     offsets: dict[int, KappaRational] = {}
-    for j in range(2, N + 1):
+    for k, j in enumerate(orders):
         offset = gg.l_elementary(zero_w, N, j)
-        base = apply_integral(j, ZPolynomial.variable(rank, 1), N)
-        if set(base.terms) != {e1_w}:
+        base = images[0][k]
+        if set(base) != {e1_w}:
             raise ConventionMismatch(
                 f"order {j} does not act diagonally on z_1 at N={N}")
-        lam = base.coefficient(e1_w)
-        target = gg.l_elementary(e1_w, N, j)
-        scale_val = (target - offset) / lam
-        if not scale_val.is_constant:
+        num, den = _cleared(gg.l_elementary(e1_w, N, j) - offset)
+        num, den = _pmul(num, (N ** j,)), _pmul(den, base[e1_w])
+        scale = Fraction(num[-1], den[-1]) if num else Fraction(0)
+        if _padd(_pmul(num, (scale.denominator,)), _pmul(den, (-scale.numerator,))):
+            scale_val = KappaRational(KappaPolynomial(num), KappaPolynomial(den))
             raise ConventionMismatch(
                 f"order {j} scale at N={N} is not a rational constant: {scale_val!r}")
-        scale = Fraction(scale_val.constant_value())
-        for w, vec in zip(weights, vectors):
-            lhs = apply_integral(j, vec, N).scale(kr(scale)) + vec.scale(offset)
-            rhs = vec.scale(gg.l_elementary(w, N, j))
-            if lhs != rhs:
+        for w, nums, image in zip(weights, splits, images[1:]):
+            P, Q = _cleared(gg.l_elementary(w, N, j) - offset)
+            P, Q = _pmul(P, (-scale.denominator * N ** j,)), _pmul(Q, (scale.numerator,))
+            if any(_padd(_pmul(image[k].get(v, ()), Q), _pmul(nums.get(v, ()), P))
+                   for v in image[k].keys() | nums.keys()):
                 raise ConventionMismatch(
                     f"order {j} calibration fails on weight {w} at N={N}")
         scales[j] = scale
@@ -464,9 +496,11 @@ def calibrate(N: int) -> Calibration:
 
 
 def _delta(nums: Numerators, N: int) -> tuple[list[Numerators], int]:
-    """The coefficients of t^0 .. t^N of the characteristic operator times
-    an integer M, returned with them, on numerators over a common
-    denominator; M clears every calibration scale and offset."""
+    """The coefficients of t^0 .. t^N of the characteristic operator (the
+    Sekiguchi–Debiard operator, Macdonald VI §3) times an integer M,
+    returned with them, on numerators over a common denominator; M clears
+    every calibration scale and offset.  The images of the orders 2..N come
+    from one engine pass per monomial."""
     cal = calibrate(N)
     affine = {}
     for j in range(2, N + 1):
@@ -479,12 +513,13 @@ def _delta(nums: Numerators, N: int) -> tuple[list[Numerators], int]:
                  *(r for _, _, r in affine.values()))
     coeffs: list[Numerators] = [{} for _ in range(N + 1)]
     coeffs[N] = {w: _pmul(c, (M,)) for w, c in nums.items()}
-    for j, (scale, offset, r) in affine.items():
+    images = _integral(range(2, N + 1), nums, N)
+    for (j, (scale, offset, r)), image in zip(affine.items(), images):
         sign = (-1) ** j
         scale = (sign * scale.numerator * (M // scale.denominator),)
         offset = _pmul(offset, (sign * (M // r),))
         oj: Numerators = {}
-        for w, c in _integral(j, nums, N).items():
+        for w, c in image.items():
             _add_num(oj, w, _pmul(c, scale))
         for w, c in nums.items():
             _add_num(oj, w, _pmul(c, offset))

@@ -495,17 +495,6 @@ class KappaRational:
     def is_zero(self) -> bool:
         return self.num.is_zero
 
-    @property
-    def is_constant(self) -> bool:
-        return self.num.degree <= 0 and self.den.degree == 0
-
-    def constant_value(self):
-        if not self.is_constant:
-            raise ValueError(f"{self!r} is not constant in κ")
-        if self.num.is_zero:
-            return _F0
-        return self.num.coeffs[0] / self.den.coeffs[0]
-
     def __bool__(self) -> bool:
         return not self.num.is_zero
 

@@ -77,46 +77,25 @@ def grlex_key(w: Weight):
     return (sum(w), w)
 
 
-def inverse_cartan(n: int) -> tuple[tuple[Fraction, ...], ...]:
-    """Gram matrix of the fundamental weights, entries min(j,k) - jk/N."""
-    N = n + 1
-    return tuple(
-        tuple(Fraction(min(j, k) * N - j * k, N) for k in range(1, n + 1))
-        for j in range(1, n + 1)
-    )
-
-
-def _cartan_columns(n: int) -> list[Weight]:
-    cols = []
-    for j in range(n):
-        col = [0] * n
-        col[j] = 2
-        if j > 0:
-            col[j - 1] = -1
-        if j < n - 1:
-            col[j + 1] = -1
-        cols.append(tuple(col))
-    return cols
-
-
 def dominated_weights(lam: Weight) -> list[Weight]:
     """All non-negative weights mu with lam - mu a non-negative integer
-    combination of simple-root columns; includes lam, sorted leading-first."""
+    combination c of simple roots; includes lam, sorted leading-first.  The
+    simple roots of A_n are the columns of the Cartan matrix, so
+    mu_k = lam_k - 2 c_k + c_(k-1) + c_(k+1), and c_j is at most the
+    j-th fundamental-weight coordinate of lam, whose Gram matrix is
+    min(j, k) - jk/N."""
     n = len(lam)
     if n < 1 or any(e < 0 for e in lam):
         raise ValueError(f"invalid dominant weight {lam}")
-    ainv = inverse_cartan(n)
-    cols = _cartan_columns(n)
-    bounds = [int(sum(ainv[j][k] * lam[k] for k in range(n))) for j in range(n)]
+    N = n + 1
+    bounds = [sum((min(j, k) * N - j * k) * e for k, e in enumerate(lam, start=1)) // N
+              for j in range(1, N)]
     found = []
     for combo in itertools.product(*(range(b + 1) for b in bounds)):
-        mu = list(lam)
-        for j, c in enumerate(combo):
-            if c:
-                for k in range(n):
-                    mu[k] -= c * cols[j][k]
-        if all(e >= 0 for e in mu):
-            found.append(tuple(mu))
+        c = (0,) + combo + (0,)
+        mu = tuple(lam[k] - 2 * c[k + 1] + c[k] + c[k + 2] for k in range(n))
+        if min(mu) >= 0:
+            found.append(mu)
     found.sort(key=dominance_key, reverse=True)
     return found
 

@@ -188,6 +188,18 @@ class TestCharEigenvalue:
         for m, N in [((2, 1), 3), ((1, 1, 1), 4)]:
             assert char_eigenvalue(m, N)[N - 1].is_zero
 
+    @pytest.mark.parametrize("N", range(2, 8))
+    def test_equals_the_product_over_the_spectral_vector(self, N):
+        # the product of (t - l_j) multiplied out in KappaRational arithmetic
+        for m in itertools.product(range(3), repeat=N - 1):
+            if sum(m) > 2:
+                continue
+            expected = [kr(1)]
+            for j in range(1, N + 1):
+                l_j = l_vector(m, N).component(j)
+                expected = [a - l_j * b for a, b in zip([kr(0)] + expected, expected + [kr(0)])]
+            assert char_eigenvalue(m, N) == expected, m
+
 
 class TestGenEigen:
     def test_a3_row_squared(self):
@@ -245,7 +257,7 @@ class TestGenEigenOffTheEngine:
                    ((1, 0, 0, 1), 5), ((1, 1, 1, 1), 5)]
         gegenbauer._symbolic_eigen.cache_clear()
         monkeypatch.setattr(integrals, "apply_integral", refuse)
-        monkeypatch.setattr(integrals, "_engine_monomial", refuse)
+        monkeypatch.setattr(integrals, "_engine_pass", refuse)
         solved = [(m, N, gen_eigen(m, N)) for m, N in weights]
         gen_eigen((2, 1, 0, 1), 5, kappa=Fraction(1, 3))
         monkeypatch.undo()
@@ -916,7 +928,7 @@ class TestCaches:
         for name, fn in _cached_functions().items():
             assert fn.cache_info().currsize == 0, name
         assert compute() == first
-        for name in ("_engine_monomial", "calibrate", "_symbolic_eigen",
+        for name in ("_engine_pass", "calibrate", "_symbolic_eigen",
                      "_gen_recurrence_inner", "build_parser"):
             assert _cached_functions()[name].cache_info().misses > 0, name
 

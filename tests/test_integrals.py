@@ -201,7 +201,7 @@ class TestEngineErrors:
     @staticmethod
     def _assert_names_inputs(error, kappa_power):
         with pytest.raises(error) as err:
-            integrals._engine_monomial.__wrapped__(3, (1, 0), 3)
+            integrals._engine_pass.__wrapped__((1, 0), 3, 3)[-1]
         for part in ("order 3", "weight (1, 0)", "N=3", f"κ power {kappa_power}"):
             assert part in str(err.value)
 
@@ -286,15 +286,53 @@ class TestOrbitSum:
                                          (5, 2), (5, 3), (5, 4)])
     def test_equals_the_placement_sum(self, N, order):
         for w in _z_monomial_weights(N - 1, _PLACEMENT_DEGREE[N]):
-            image = integrals._engine_monomial(order, w, N)
+            image = integrals._engine_pass(w, N, order)[order - 2]
             assert [v for v, _ in image] == sorted(v for v, _ in image)
             assert dict(image) == ref.placement_engine(order, w, N), w
 
     @settings(max_examples=30, deadline=None, database=None)
     @given(_placement_case())
     def test_drawn_monomial_equals_the_placement_sum(self, case):
-        assert (dict(integrals._engine_monomial.__wrapped__(*case))
+        order, w, N = case
+        assert (dict(integrals._engine_pass.__wrapped__(w, N, order)[order - 2])
                 == ref.placement_engine(*case))
+
+
+# N -> the weighted degree of the monomials on which one engine pass is
+# checked against passes with a lower highest order
+_PASS_DEGREE = {3: 4, 4: 3, 5: 2, 6: 2}
+
+
+@st.composite
+def _pass_case(draw):
+    N = draw(st.sampled_from(sorted(_PASS_DEGREE)))
+    w = draw(st.sampled_from(_z_monomial_weights(N - 1, _PASS_DEGREE[N])))
+    order = draw(st.integers(2, N))
+    return w, N, order, draw(st.integers(order, N))
+
+
+class TestEnginePass:
+    """One engine pass serves every order up to its highest one; the image
+    of an order does not depend on how many orders the pass carried."""
+
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(_pass_case())
+    def test_image_does_not_depend_on_the_highest_order(self, case):
+        w, N, order, top = case
+        alone = integrals._engine_pass.__wrapped__(w, N, order)
+        shared = integrals._engine_pass.__wrapped__(w, N, top)
+        assert len(alone) == order - 1 and len(shared) == top - 1
+        assert shared[:order - 1] == alone
+
+    def test_orders_share_one_cached_pass(self):
+        calibrate(4)
+        integrals._engine_pass.cache_clear()
+        p = ZPolynomial.monomial(3, (1, 0, 1))
+        char_apply(p, 4)  # the images of orders 2, 3 and 4
+        apply_integral(4, p, 4)
+        assert integrals._engine_pass.cache_info()[:2] == (1, 1)  # hits, misses
+        apply_integral(3, p, 4)  # a pass that stops at order 3
+        assert integrals._engine_pass.cache_info()[:2] == (1, 2)
 
 
 class TestSchurImage:

@@ -159,6 +159,12 @@ class TestDominance:
             lam = tuple(rng.randrange(0, 3) for _ in range(3))
             assert set(dominated_weights(lam)) == _brute_cone(lam)
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_small_weights_against_brute_force(self, n):
+        for lam in itertools.product(range(3), repeat=n):
+            if sum(lam) <= 2:
+                assert set(dominated_weights(lam)) == _brute_cone(lam), lam
+
     def test_downward_closed(self):
         lam = (2, 1)
         cone = set(dominated_weights(lam))

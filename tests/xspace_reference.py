@@ -1,6 +1,6 @@
 """x-space references for the operator engine, computed the long way.
 
-The engine (``integrals._engine_monomial``) sums each derivative count once
+The engine (``integrals._engine_pass``) sums each derivative count once
 per index orbit in closed form and reads every image off Jacobi's
 bialternant, with no x-space fraction.  The functions here compute the same
 things by placing every factor on the particle indices, so that the tests
