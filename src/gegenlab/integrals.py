@@ -220,17 +220,12 @@ def _engine_pass(w: Weight, N: int, top: int) -> tuple:
     α = sort(v) otherwise, and A / V = sum A_α s_{α-δ} (``_schur_image``).
     Every order j >= mom has the same g and shuffles β, with c = e_{j-mom},
     so one derivative chain serves them all: per mom, g is checked once,
-    each distinct β+γ is sorted and signed once and each Schur image read
-    once, for a vector over the orders.  The checks run from the highest
-    mom down and name the highest order."""
+    each β+γ is sorted and signed once and each Schur image read once, for
+    a vector over the orders.  The checks run from the highest mom down and
+    name the highest order."""
     f = _elementary_product(N, w)
     chain = list(itertools.accumulate(range(1, top + 1), apply_momentum, initial=f))
     images: list[dict[Weight, list[int]]] = [{} for _ in range(2, top + 1)]
-    # v packed as sum v_i << (bits * i), so that β + γ is one addition,
-    # -> (sort(v), sign), or () when v has a repeated entry
-    bits = (max(map(max, f.terms)) + N).bit_length()
-    shifts = range(0, bits * N, bits)
-    sorts: dict[int, tuple] = {}
     for mom in range(top, 0, -1):
         g = chain[mom]
         if g.is_zero:
@@ -245,22 +240,16 @@ def _engine_pass(w: Weight, N: int, top: int) -> tuple:
         for k, j in enumerate(orders):
             for beta, c in _gauge_weight(j, mom, N):
                 rows.setdefault(beta, [0] * len(orders))[k] = c
-        terms = [(sum(map(operator.lshift, gamma, shifts)), gamma, d)
-                 for gamma, d in g.terms.items()]
         alternant: dict[tuple, list[int]] = {}
         for beta, cs in rows.items():
-            packed = sum(map(operator.lshift, beta, shifts))
             part: dict[tuple, int] = {}
-            for key, gamma, d in terms:
-                key += packed
-                hit = sorts.get(key)
-                if hit is None:
-                    v = tuple(map(operator.add, beta, gamma))
-                    hit = sorts[key] = () if len(set(v)) < N else (
-                        tuple(sorted(v, reverse=True)),
-                        -1 if sum(a < b for a, b in itertools.combinations(v, 2)) % 2 else 1)
-                if hit:
-                    part[hit[0]] = part.get(hit[0], 0) + hit[1] * d
+            for gamma, d in g.terms.items():
+                v = tuple(map(operator.add, beta, gamma))
+                if len(set(v)) < N:
+                    continue
+                odd = sum(a < b for a, b in itertools.combinations(v, 2)) % 2
+                alpha = tuple(sorted(v, reverse=True))
+                part[alpha] = part.get(alpha, 0) + (-d if odd else d)
             for alpha, a in part.items():
                 acc = alternant.setdefault(alpha, [0] * len(orders))
                 for k, c in enumerate(cs):

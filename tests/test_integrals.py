@@ -331,8 +331,6 @@ class TestEnginePass:
         char_apply(p, 4)  # the images of orders 2, 3 and 4
         apply_integral(4, p, 4)
         assert integrals._engine_pass.cache_info()[:2] == (1, 1)  # hits, misses
-        apply_integral(3, p, 4)  # a pass that stops at order 3
-        assert integrals._engine_pass.cache_info()[:2] == (1, 2)
 
 
 class TestSchurImage:

@@ -155,15 +155,11 @@ class TestDominance:
 
     def test_random_against_brute_force(self):
         rng = random.Random(5)
-        for _ in range(6):
-            lam = tuple(rng.randrange(0, 3) for _ in range(3))
-            assert set(dominated_weights(lam)) == _brute_cone(lam)
-
-    @pytest.mark.parametrize("n", [1, 2, 3, 4])
-    def test_small_weights_against_brute_force(self, n):
-        for lam in itertools.product(range(3), repeat=n):
-            if sum(lam) <= 2:
-                assert set(dominated_weights(lam)) == _brute_cone(lam), lam
+        drawn = [tuple(rng.randrange(0, 3) for _ in range(3)) for _ in range(6)]
+        small = [lam for n in range(1, 5) for lam in itertools.product(range(3), repeat=n)
+                 if sum(lam) <= 2]
+        for lam in drawn + small:
+            assert set(dominated_weights(lam)) == _brute_cone(lam), lam
 
     def test_downward_closed(self):
         lam = (2, 1)
