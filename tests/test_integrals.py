@@ -554,3 +554,27 @@ class TestCommutators:
 
     def test_self_commutator(self):
         assert commutator_residual(2, 2, 3, 3).is_zero
+
+    def test_residual_counts_the_terms_of_the_commutator(self, monkeypatch):
+        """With some order-3 images bent, the residual names each monomial
+        and the number of terms of [L_2, L_3] on it, as the z-polynomials
+        from apply_integral give them."""
+        real = integrals._engine_pass
+
+        def bent(w, N, top):
+            images = list(real(w, N, top))
+            if top >= 3 and sum(w) % 2 and images[1]:
+                (v, cs), *rest = images[1]
+                images[1] = ((v, (cs[0] + 7,) + cs[1:]), *rest)
+            return tuple(images)
+
+        monkeypatch.setattr(integrals, "_engine_pass", bent)
+        expected = []
+        for w in integrals._monomials_up_to(2, 4):
+            p = ZPolynomial.monomial(2, w)
+            r = (apply_integral(2, apply_integral(3, p, 3), 3)
+                 - apply_integral(3, apply_integral(2, p, 3), 3))
+            if not r.is_zero:
+                expected.append((w, len(r.terms)))
+        assert expected
+        assert commutator_residual(2, 3, 3, 4).failures == tuple(expected)
