@@ -67,7 +67,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Optional, Sequence
 
 from .scalars import (
     IntPoly,
@@ -291,7 +291,7 @@ def _rebuild(rank: int, nums: Numerators, D: IntPoly) -> ZPolynomial:
                                    for w, n in nums.items()})
 
 
-def _integral(orders, nums: Numerators, N: int) -> list[Numerators]:
+def _integral(orders: Sequence[int], nums: Numerators, N: int) -> list[Numerators]:
     """N^j times the order-j integral for each j in orders, on numerators
     over a common denominator, from one engine pass per monomial that stops
     at the highest order."""
