@@ -22,6 +22,16 @@ from typing import Optional
 from .scalars import KappaPolynomial, KappaRational
 from .symfun import Weight, ZPolynomial, dominance_key, grlex_key
 
+# CPython's built-in SHA-256, as random.py takes its SHA-512: hashlib loads
+# OpenSSL, megabytes of memory for a checksum of half a kilobyte
+try:
+    from _sha256 import sha256  # Python 3.10 and 3.11
+except ImportError:
+    try:
+        from _sha2 import sha256  # Python 3.12 and later
+    except ImportError:
+        from hashlib import sha256
+
 CACHE_VERSION = 1
 
 
@@ -257,12 +267,8 @@ def _cache_path(directory: str | Path, rank: int, weight: Weight) -> Path:
 
 
 def _payload_checksum(obj: dict) -> str:
-    # imported here: hashlib loads OpenSSL, about 3 MB of memory that only
-    # the disk cache needs
-    import hashlib
-
     payload = {k: obj[k] for k in ("version", "rank", "weight", "terms")}
-    return hashlib.sha256(canonical_json(payload).encode()).hexdigest()
+    return sha256(canonical_json(payload).encode()).hexdigest()
 
 
 def cache_write(directory: str | Path, weight: Weight, p: ZPolynomial) -> Path:
@@ -285,11 +291,11 @@ def cache_write(directory: str | Path, weight: Weight, p: ZPolynomial) -> Path:
 def cache_read(directory: str | Path, rank: int, weight: Weight):
     """Returns (polynomial | None, reason); a bad entry is reported, not fatal."""
     path = _cache_path(directory, rank, weight)
-    if not path.exists():
-        return None, "miss"
     try:
         obj = json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError):
+    except FileNotFoundError:
+        return None, "miss"
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError):
         return None, "corrupt"
     if not isinstance(obj, dict):
         return None, "corrupt"

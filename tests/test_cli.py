@@ -1,4 +1,5 @@
 """Command-line surface: formats, exit codes, caching, determinism."""
+import importlib.util
 import json
 import os
 import shutil
@@ -198,19 +199,79 @@ class TestCache:
         assert json.loads(path.read_text())["checksum"] == (
             "1049277d6bb118c71c9e43a5d3abfed9158044ce2fc67683d75d08695c47656f")
 
-    def test_import_leaves_hashlib_unloaded(self):
-        # hashlib loads OpenSSL (megabytes of memory); only a cache write
-        # or read needs it
+    def test_import_leaves_hashlib_unloaded(self, tmp_path):
+        # hashlib loads OpenSSL (megabytes of memory); the checksum comes
+        # from CPython's built-in SHA-256 module instead
+        if not any(importlib.util.find_spec(m) for m in ("_sha256", "_sha2")):
+            pytest.skip("this Python has no built-in SHA-256 module")
         code = ("import pkgutil, importlib, sys, gegenlab\n"
                 "for m in pkgutil.iter_modules(gegenlab.__path__):\n"
                 "    importlib.import_module('gegenlab.' + m.name)\n"
+                "from gegenlab.cli import main\n"
+                "from gegenlab.gegenbauer import gen_eigen\n"
+                "from gegenlab.serialize import cache_read, cache_write\n"
+                "d = sys.argv[1]\n"
+                "p = gen_eigen((1, 1), 3)\n"
+                "cache_write(d, (1, 1), p)\n"
+                "assert cache_read(d, 2, (1, 1)) == (p, 'hit')\n"
+                "args = ['gen', '--rank', '2', '--weight', '2,1', '--cache', d,"
+                " '--verbose']\n"
+                "assert main(args) == 0 and main(args) == 0\n"
                 "print(sorted({'hashlib', '_hashlib'} & set(sys.modules)))")
         src = str(Path(gegenlab.__file__).resolve().parents[1])
         pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                              text=True, env={**os.environ, "PYTHONPATH": pythonpath})
+        proc = subprocess.run([sys.executable, "-c", code, str(tmp_path)],
+                              capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": pythonpath})
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "[]"
+        assert proc.stderr.count("generated") == proc.stderr.count("cache hit") == 1
+        assert proc.stdout.splitlines()[-1] == "[]"
+
+    def test_entry_removed_before_the_read_is_a_miss(self, tmp_path, capsys,
+                                                     monkeypatch):
+        # the entry exists until the read, as when a user clears the cache
+        # while gen runs
+        cache_write(tmp_path, (1, 0), gen_eigen((1, 0), 3))
+
+        def vanished(self, *args, **kwargs):
+            raise FileNotFoundError(2, "No such file or directory", str(self))
+
+        monkeypatch.setattr(Path, "read_text", vanished)
+        assert cache_read(tmp_path, 2, (1, 0)) == (None, "miss")
+        rc, out, err = run_cli(["gen", "--rank", "2", "--weight", "1,0",
+                                "--cache", str(tmp_path)], capsys)
+        assert rc == 0 and out.strip() == "z1" and not err
+
+    def test_unreadable_entry_is_corrupt(self, tmp_path, monkeypatch):
+        cache_write(tmp_path, (1, 0), gen_eigen((1, 0), 3))
+
+        def denied(self, *args, **kwargs):
+            raise PermissionError(13, "Permission denied", str(self))
+
+        monkeypatch.setattr(Path, "read_text", denied)
+        assert cache_read(tmp_path, 2, (1, 0)) == (None, "corrupt")
+
+    def test_undecodable_entry_regenerates(self, tmp_path, capsys):
+        path = cache_write(tmp_path, (1, 0), gen_eigen((1, 0), 3))
+        path.write_bytes(b"\xff\xfe not UTF-8")
+        assert cache_read(tmp_path, 2, (1, 0)) == (None, "corrupt")
+        args = ["gen", "--rank", "2", "--weight", "1,0"]
+        _, fresh, _ = run_cli(args, capsys)
+        rc, out, err = run_cli(args + ["--cache", str(tmp_path)], capsys)
+        assert rc == 0 and "ignored (corrupt)" in err and out == fresh
+
+    @pytest.mark.parametrize("fmt", ["json", "text", "latex"])
+    @pytest.mark.parametrize("rank, weight", [(2, "2,1"), (3, "1,0,1"),
+                                              (3, "2,1,0")])
+    def test_cache_hit_prints_the_generated_bytes(self, tmp_path, capsys,
+                                                  rank, weight, fmt):
+        args = ["gen", "--rank", str(rank), "--weight", weight,
+                "--format", fmt, "--cache", str(tmp_path), "--verbose"]
+        rc1, written, err1 = run_cli(args, capsys)
+        rc2, served, err2 = run_cli(args, capsys)
+        assert rc1 == rc2 == 0
+        assert err1.startswith("generated") and err2.startswith("cache hit")
+        assert served == written
 
     def test_environment_overrides_flag(self, tmp_path, capsys, monkeypatch):
         env_dir = tmp_path / "env"
