@@ -41,9 +41,11 @@ from .scalars import (
     _fadd,
     _fmul,
     _from_factored,
+    _pack,
     _padd,
     _pmul,
     _reduced,
+    _unpack,
     lin,
 )
 from .symfun import (
@@ -463,15 +465,18 @@ def expand_product(r: int, m: Weight, N: int) -> dict[Weight, KappaRational]:
 @functools.lru_cache(maxsize=None)
 def _shifted_delta(m: Weight, N: int, r: int, points: tuple):
     """The Δ(t) coefficients of Δ(p_1/N) ⋯ Δ(p_k/N) z_r · P_m for the integer
-    κ-polynomials p of points, read-only: (coefficients of t^0 .. t^N, M,
-    scale, factors), each coefficient a mapping of integer numerators over
+    κ-polynomials p of points: (packed, M, scale, factors), the coefficients
+    packed as integrals._packed_delta gives them, integer numerators over
     M · scale · Π f^k, where M is an integer and scale · Π f^k is the common
-    denominator of P_m's reduced split, kept factored.  Each prefix of the
-    points is its own key: the last point is evaluated on the cached
-    coefficients of the prefix, so integrals._delta runs once per key."""
+    denominator of P_m's reduced split, kept factored.  The width is fixed
+    here, wide enough for every point N · (l_i + t_s) of m and a lift of
+    P_m's own ``_split_norm``.  Each prefix of the points is its own key:
+    the last point is evaluated on the packed coefficients of the prefix,
+    so integrals._delta runs once per key."""
     if points:
-        coeffs, M, scale, factors = _shifted_delta(m, N, r, points[:-1])
-        nums, (M,) = _integrals._delta_at(coeffs, M, points[-1], (N,))
+        packed, M, scale, factors = _shifted_delta(m, N, r, points[:-1])
+        nums = _integrals._delta_at(packed, points[-1], (N,))
+        M *= N ** N
     else:
         split = _symbolic_eigen(m, N)[1]
         scale = math.lcm(*(c for _, c, _ in split.values()))
@@ -480,19 +485,25 @@ def _shifted_delta(m: Weight, N: int, r: int, points: tuple):
                 for w, (num, c, f) in _times_z(r, split).items()}
         M, factors = 1, types.MappingProxyType(joint)
     coeffs, more = _integrals._delta(nums, N)
-    return tuple(map(types.MappingProxyType, coeffs)), M * more, scale, factors
+    a1 = max(abs(c) + 2 * N + abs(slope) for c, slope in _scaled_l(m, N))
+    return (_integrals._packed_delta(coeffs, a1, N, _split_norm(m, N)),
+            M * more, scale, factors)
 
 
-def _ratio(nums: dict, split, w0: Weight) -> Optional[tuple]:
-    """nums[w0] when nums == nums[w0] · P for the P of a reduced split
-    (``_settle``) whose coefficient at w0 is 1, checked by cross-multiplication
-    in ℤ[κ]; None when there is none."""
-    top = nums.get(w0, ())
-    if nums.keys() <= split.keys() and all(
-            _pmul(nums.get(w, ()), _cofactor(c, f)) == _pmul(top, num)
-            for w, (num, c, f) in split.items()):
-        return top
-    return None
+@functools.lru_cache(maxsize=None)
+def _split_norm(m: Weight, N: int) -> int:
+    """The largest ‖·‖_1 of a numerator or a cofactor scale · Π f^k in P_m's
+    reduced split: what a product with one of them can grow a coefficient by."""
+    return max(max(sum(map(abs, num)), sum(map(abs, _cofactor(c, f))))
+               for num, c, f in _symbolic_eigen(m, N)[1].values())
+
+
+@functools.lru_cache(maxsize=None)
+def _packed_split(m: Weight, N: int, W: int):
+    """P_m's reduced split packed at width W, read-only: w -> (numerator,
+    cofactor scale · Π f^k), for step's cross-multiplication."""
+    return types.MappingProxyType({w: (_pack(num, W), _pack(_cofactor(c, f), W))
+                                   for w, (num, c, f) in _symbolic_eigen(m, N)[1].items()})
 
 
 def step(m: Weight, s: Weight, N: int) -> tuple[ZPolynomial, KappaRational]:
@@ -504,10 +515,15 @@ def step(m: Weight, s: Weight, N: int) -> tuple[ZPolynomial, KappaRational]:
     The operator is z_r times a factor Δ(l_i + t_s) for each i of the shift's
     subset, with t_s = -2r/N when raising and +2r/N when lowering with
     z_{N-r}.  Each point is N · (l_i + t_s), an integer affine κ-polynomial
-    over b = N, and each factor evaluates the cached Δ coefficients of the
+    over b = N, and each factor evaluates the packed Δ coefficients of the
     factors before it (``_shifted_delta``), which every shift of one sign,
-    r and prefix shares.  σ is read off by cross-multiplication against the
-    target's cached split (``_ratio``) and reduced with the denominator
+    r and prefix shares.  The last factor stays packed (Kronecker
+    substitution): each monomial's numerator is N + 1 integer products, and
+    the result is checked proportional to P_{m+s} by cross-multiplying it
+    against the target's split packed at the same width (``_packed_split``).
+    The width covers integrals._delta_eval's bound with the target's
+    ``_split_norm`` as lift, so the packed equality is the equality in ℤ[κ]
+    and only σ's numerator is decoded.  σ is reduced with the denominator
     factored, so no KappaRational is built before σ and, with calibrate(N)
     warm, no polynomial gcd is taken.
     """
@@ -519,22 +535,26 @@ def step(m: Weight, s: Weight, N: int) -> tuple[ZPolynomial, KappaRational]:
     *prefix, last = (_padd((c - 2 * r * sign,), (0, slope))  # N · (l_i + t_s)
                      for i, (c, slope) in enumerate(_scaled_l(m, N), start=1)
                      if i in subset)
-    coeffs, M, scale, factors = _shifted_delta(m, N, r if sign > 0 else N - r,
+    packed, M, scale, factors = _shifted_delta(m, N, r if sign > 0 else N - r,
                                                tuple(prefix))
-    nums, (multiplier,) = _integrals._delta_at(coeffs, M, last, (N,))
-    if not nums:
+    target = tuple(a + b for a, b in zip(m, s))
+    valid = all(e >= 0 for e in target)
+    W, vals = _integrals._delta_eval(packed, last, (N,),
+                                     _split_norm(target, N) if valid else 1)
+    if not vals:
         return ZPolynomial.zero(N - 1), KappaRational.zero()
     where = f"shift {s} at {m}, N={N}"
-    target = tuple(a + b for a, b in zip(m, s))
-    if any(e < 0 for e in target):
+    if not valid:
         raise DecompositionError(
             f"nonzero step result for invalid target {target} ({where})")
-    p_target, split = _symbolic_eigen(target, N)
-    top = _ratio(nums, split, target)
-    if top is None:
+    split = _packed_split(target, N, W)
+    top = vals.get(target, 0)
+    if not (vals.keys() <= split.keys() and all(
+            vals.get(w, 0) * cof == top * num for w, (num, cof) in split.items())):
         raise DecompositionError(
             f"step result for {where} is not proportional to one polynomial")
-    return p_target, _from_factored(top, scale * multiplier, factors)
+    return (_symbolic_eigen(target, N)[0],
+            _from_factored(_unpack(top, W), scale * M * N ** N, factors))
 
 
 # ---------------------------------------------------------------------------

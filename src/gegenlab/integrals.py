@@ -51,6 +51,13 @@ calibration's integer factor and b^N go into D.  Only each output
 coefficient is reduced, once, as a KappaRational numerator / D, with no
 polynomial gcd when D is a constant.
 
+Δ(t) at a point t = a/b runs on integers by Kronecker substitution: its
+coefficients are packed at κ = 2^W with balanced base-2^W digits
+(``_packed_delta``), so each monomial's numerator Σ_k C_k a^k b^(N-k) is
+N + 1 integer products (``_delta_eval``).  Packing is a ring map, and W
+covers a bound on every coefficient that is decoded or compared, from
+‖pq‖_∞ <= ‖p‖_∞ ‖q‖_1 (``_bound``), so the decoding is exact.
+
 ``apply_integral(2, . )`` is normalized to have the non-negative spectrum
 (its eigenvalue on an eigenpolynomial is the excitation energy); higher
 orders keep their natural normalization, which the characteristic-operator
@@ -65,6 +72,7 @@ import functools
 import itertools
 import math
 import operator
+import types
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -75,9 +83,12 @@ from .scalars import (
     KappaRational,
     _cleared,
     _lcm,
+    _pack,
     _padd,
     _pdiv_exact,
     _pmul,
+    _unpack,
+    _width,
     kr,
     lin,
 )
@@ -521,24 +532,50 @@ def _delta(nums: Numerators, N: int) -> tuple[list[Numerators], int]:
     return coeffs, M
 
 
-def _delta_at(coeffs: list[Numerators], M: int,
-              a: IntPoly, b: IntPoly) -> tuple[Numerators, IntPoly]:
-    """Δ(t) from its coefficients times M (``_delta``), for t = a/b with a
-    and b integer κ-polynomials: the numerators
-    sum_k coeff_k * a^k * b^(N-k) and their multiplier M * b^N, which the
-    caller multiplies into its denominator."""
-    N = len(coeffs) - 1
-    b_powers = [_ONE]
-    for _ in range(N):
-        b_powers.append(_pmul(b_powers[-1], b))
-    out: Numerators = {}
-    a_power = _ONE
-    for k, coeff in enumerate(coeffs):
-        factor = _pmul(a_power, b_powers[N - k])
-        for w, c in coeff.items():
-            _add_num(out, w, _pmul(c, factor))
-        a_power = _pmul(a_power, a)
-    return out, _pmul((M,), b_powers[N])
+def _packed_delta(coeffs: list[Numerators], a1: int, b1: int, lift: int = 1) -> tuple:
+    """Δ(t)'s coefficients (``_delta``) packed at κ = 2^W (``scalars._pack``):
+    (W, norms, rows), with rows[w] the packed coefficients of t^0 .. t^N at
+    w, read-only, and norms[k] the largest ‖·‖_∞ of a t^k coefficient.  W
+    is ``_delta_eval``'s width for points with ‖a‖_1 <= a1, ‖b‖_1 <= b1 and
+    that lift, and every coefficient decodes at W."""
+    norms = tuple(max((max(map(abs, c)) for c in coeff.values()), default=0)
+                  for coeff in coeffs)
+    W = _width(lift * _bound(norms, max(a1, 1), b1))
+    rows = {w: tuple(_pack(coeff.get(w, ()), W) for coeff in coeffs)
+            for w in dict.fromkeys(itertools.chain(*coeffs))}
+    return W, norms, types.MappingProxyType(rows)
+
+
+def _bound(norms: tuple, a1: int, b1: int) -> int:
+    """Σ_k norms[k] a1^k b1^(N-k): with ‖pq‖_∞ <= ‖p‖_∞ ‖q‖_1 and ‖·‖_1
+    submultiplicative, a bound on the coefficients of Δ(t)'s numerators at
+    t = a/b for ‖a‖_1 <= a1 and ‖b‖_1 <= b1."""
+    N = len(norms) - 1
+    return sum(n * a1 ** k * b1 ** (N - k) for k, n in enumerate(norms))
+
+
+def _delta_eval(packed: tuple, a: IntPoly, b: IntPoly,
+                lift: int = 1) -> tuple[int, dict[Weight, int]]:
+    """Δ(t) at t = a/b on packed coefficients (``_packed_delta``): a width W
+    and the nonzero numerators Σ_k C_k a^k b^(N-k) packed at W, N + 1
+    integer products each.  W covers ``_bound`` times lift, so every
+    numerator, and its product with a κ-polynomial of ‖·‖_1 <= lift,
+    decodes exactly; rows packed narrower are re-packed for this call."""
+    W, norms, rows = packed
+    need = _width(lift * _bound(norms, sum(map(abs, a)), sum(map(abs, b))))
+    if need > W:
+        rows = {w: [_pack(_unpack(x, W), need) for x in row] for w, row in rows.items()}
+        W = need
+    A, B = _pack(a, W), _pack(b, W)
+    N = len(norms) - 1
+    powers = [A ** k * B ** (N - k) for k in range(N + 1)]
+    return W, {w: x for w, row in rows.items() if (x := sum(map(operator.mul, row, powers)))}
+
+
+def _delta_at(packed: tuple, a: IntPoly, b: IntPoly) -> Numerators:
+    """``_delta_eval``'s numerators, decoded; their multiplier is b^N."""
+    W, vals = _delta_eval(packed, a, b)
+    return {w: _unpack(x, W) for w, x in vals.items()}
 
 
 def char_apply(p: ZPolynomial, N: int, t: Optional[KappaRational] = None):
@@ -559,8 +596,9 @@ def char_apply(p: ZPolynomial, N: int, t: Optional[KappaRational] = None):
     coeffs, M = _delta(nums, N)
     if t is None:
         return [_rebuild(rank, c, _pmul(D, (M,))) for c in coeffs]
-    out, mult = _delta_at(coeffs, M, *_cleared(_coerce_scalar(t)))
-    return _rebuild(rank, out, _pmul(D, mult))
+    a, b = _cleared(_coerce_scalar(t))
+    out = _delta_at(_packed_delta(coeffs, sum(map(abs, a)), sum(map(abs, b))), a, b)
+    return _rebuild(rank, out, _pmul(D, functools.reduce(_pmul, [b] * N, (M,))))
 
 
 # ---------------------------------------------------------------------------

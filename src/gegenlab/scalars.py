@@ -25,14 +25,17 @@ runs on: an integer κ-polynomial is a tuple of Python ints (``IntPoly``);
 ``_padd`` and ``_pmul`` are the coefficient loops ``KappaPolynomial``
 shares; ``_cleared`` splits a KappaRational into an integer numerator and
 denominator; ``_lcm`` and ``_pdiv_exact`` give a common denominator in ℤ[κ]
-and the cofactors over it.  The eigen-solve, the closed forms and the step
-operators' σ run on factored values: an integer numerator over an integer
-scale times a multiset of primitive affine factors a + bκ.  ``_factored``
-builds one from affine factors, ``_fmul`` multiplies and ``_fadd`` adds two
-over the max of their multisets; ``_reduced`` cancels each factor by
-trial division and divides out the joint integer content, ``_canonical``
-builds the KappaRational of a reduced value, and ``_from_factored`` does
-both.  None of them takes a polynomial gcd.
+and the cofactors over it; ``_pack`` and ``_unpack`` move an integer
+κ-polynomial to and from one integer at κ = 2^W (Kronecker substitution),
+at a width ``_width`` takes from a bound on the coefficients.  The
+eigen-solve, the closed forms and the step operators' σ run on factored
+values: an integer numerator over an integer scale times a multiset of
+primitive affine factors a + bκ.  ``_factored`` builds one from affine
+factors, ``_fmul`` multiplies and ``_fadd`` adds two over the max of their
+multisets; ``_reduced`` cancels each factor by trial division and divides
+out the joint integer content, ``_canonical`` builds the KappaRational of a
+reduced value, and ``_from_factored`` does both.  None of them takes a
+polynomial gcd.
 """
 from __future__ import annotations
 
@@ -119,6 +122,35 @@ def _pmul(a: tuple, b: tuple) -> tuple:
         if x:
             for j, y in enumerate(b):
                 out[i + j] += x * y
+    return tuple(out)
+
+
+def _width(bound: int) -> int:
+    """The packing width for coefficients at most bound in absolute value:
+    2 + its bit length, rounded up to a multiple of 64.  The difference of
+    two such polynomials then has coefficients below 2^(W-1), so it decodes
+    (``_unpack``) and is zero exactly when its packed value is."""
+    return -(-(bound.bit_length() + 2) // 64) * 64
+
+
+def _pack(p: IntPoly, W: int) -> int:
+    """p at κ = 2^W: a ring map ℤ[κ] → ℤ at every W."""
+    x = 0
+    for c in reversed(p):
+        x = (x << W) + c
+    return x
+
+
+def _unpack(x: int, W: int) -> IntPoly:
+    """The integer κ-polynomial packed as x at width W, read off x's
+    balanced base-2^W digits in [-2^(W-1), 2^(W-1)): exact when every
+    coefficient lies in that range, as the balanced digits are unique."""
+    half, mask = 1 << (W - 1), (1 << W) - 1
+    out = []
+    while x:
+        d = ((x + half) & mask) - half
+        out.append(d)
+        x = (x - d) >> W
     return tuple(out)
 
 
@@ -434,7 +466,9 @@ object.__setattr__(_KP_ONE, "coeffs", (_F1,))
 _KP_KAPPA = KappaPolynomial.__new__(KappaPolynomial)
 object.__setattr__(_KP_KAPPA, "coeffs", (_F0, _F1))
 
-KappaLike = Union[int, Fraction, KappaPolynomial, "KappaRational"]
+# names only: typing caches every Union it builds, so a Union over a class
+# object would keep each re-imported copy of this module alive
+KappaLike = Union["int", "Fraction", "KappaPolynomial", "KappaRational"]
 
 
 def _to_poly(x) -> KappaPolynomial:

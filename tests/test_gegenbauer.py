@@ -9,11 +9,15 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import step_reference
 import xspace_reference
 from gegenlab.scalars import (
     KappaPolynomial,
     KappaRational,
     SpectralDegeneracy,
+    _cofactor,
+    _pmul,
+    _width,
     kappa,
     kr,
     lin,
@@ -535,7 +539,18 @@ class TestStep:
         assert P == ZPolynomial.variable(3, 1)
         assert sigma == kr(-96) * kappa() ** 3
 
-    def test_perturbed_target_is_caught(self, monkeypatch):
+    @pytest.fixture
+    def fresh_packed_splits(self):
+        # the packed splits and their norms are read off _symbolic_eigen's
+        # split: built afresh from a perturbed one, and dropped after it
+        derived = (gegenbauer._packed_split, gegenbauer._split_norm)
+        for fn in derived:
+            fn.cache_clear()
+        yield
+        for fn in derived:
+            fn.cache_clear()
+
+    def test_perturbed_target_is_caught(self, fresh_packed_splits, monkeypatch):
         # the cross-multiplied proportionality check sees one wrong
         # coefficient of the target's cached split
         honest = gegenbauer._symbolic_eigen
@@ -575,6 +590,85 @@ class TestStep:
                 patch.setattr(integrals, name, _refuse(name))
             second = [step(m, s, N) for m, s, N in cases]
         assert second == first
+
+
+class TestPackedStep:
+    """step's last Δ factor runs on integers packed at κ = 2^W, checked
+    against the tuple rows of step_reference."""
+
+    # every tabulated shift on every weight of sum <= 4 at N = 3 and of
+    # sum <= 2 at N = 4
+    GRID = [(m, s, N) for N, bound in ((3, 4), (4, 2))
+            for m in itertools.product(range(bound + 1), repeat=N - 1) if sum(m) <= bound
+            for s in tabulated_shifts(N)]
+
+    def test_matches_the_tuple_reference(self):
+        assert len(self.GRID) == 230
+        for m, s, N in self.GRID:
+            got = step(m, s, N)
+            assert got == step_reference.step(m, s, N), (m, s, N)
+            assert got[1] == sigma_closed_form(m, s, N), (m, s, N)
+
+    def test_width_covers_every_coefficient(self, monkeypatch):
+        # the bound on the last factor's numerators and both sides of the
+        # cross-multiplication, and the width taken from it, against their
+        # true largest coefficient; no entry is re-packed for a call with no
+        # lift: a double shift's first factor, or a step to an invalid target
+        calls = []
+        honest = integrals._delta_eval
+
+        def recording(packed, a, b, lift=1):
+            W, vals = honest(packed, a, b, lift)
+            calls.append((packed, a, b, lift, W))
+            return W, vals
+
+        monkeypatch.setattr(integrals, "_delta_eval", recording)
+        gegenbauer._shifted_delta.cache_clear()
+        for m, s, N in self.GRID:
+            step(m, s, N)
+            (_, norms, _), a, b, lift, W = calls[-1]
+            nums, _, _, last = step_reference.last_factor(m, s, N)
+            assert (a, b) == (last, (N,))
+            products = list(nums.values())
+            if nums:
+                target = tuple(x + y for x, y in zip(m, s))
+                for w, (num, c, f) in gegenbauer._symbolic_eigen(target, N)[1].items():
+                    products += [_pmul(nums.get(w, ()), _cofactor(c, f)),
+                                 _pmul(nums[target], num)]
+            true = max((abs(x) for p in products for x in p), default=0)
+            bound = lift * integrals._bound(norms, sum(map(abs, a)), N)
+            assert true <= bound, (m, s, N)
+            assert W >= _width(bound) >= true.bit_length() + 2, (m, s, N)
+        firsts = [(packed[0], W) for packed, _, _, lift, W in calls if lift == 1]
+        assert firsts and all(entry == W for entry, W in firsts)
+        gegenbauer._shifted_delta.cache_clear()
+
+    def test_a_wider_step_leaves_the_entry(self, monkeypatch):
+        # a target whose cross-products could be 300 bits wider: the step
+        # re-packs for itself, and the cached entry keeps its width and rows
+        m, s, N = (1, 1), (1, 0), 3
+        gegenbauer._shifted_delta.cache_clear()
+        want = step(m, s, N)
+        entry = gegenbauer._shifted_delta(m, N, 1, ())
+        W, _, rows = entry[0]
+        before = dict(rows)
+        widths = []
+        honest = integrals._delta_eval
+
+        def recording(*args):
+            out = honest(*args)
+            widths.append(out[0])
+            return out
+
+        with monkeypatch.context() as patch:
+            patch.setattr(gegenbauer, "_split_norm", lambda target, N: 1 << 300)
+            patch.setattr(integrals, "_delta_eval", recording)
+            assert step(m, s, N) == want
+        assert widths[0] > 300 > W
+        assert gegenbauer._shifted_delta(m, N, 1, ()) is entry
+        assert entry[0][0] == W and dict(entry[0][2]) == before
+        assert step(m, s, N) == want
+        gegenbauer._shifted_delta.cache_clear()
 
 
 class TestSigmaClosedForm:
@@ -945,13 +1039,15 @@ class TestCaches:
         assert step((1, 0), (1, 0), 3) == first
         info = gegenbauer._shifted_delta.cache_info()
         assert (info.hits, info.misses) == (1, 1)
-        # keyed on (m, N, r, the points applied before the last)
-        coeffs, _, _, factors = gegenbauer._shifted_delta((1, 0), 3, 1, ())
+        # keyed on (m, N, r, the points applied before the last); the
+        # coefficients are packed, per monomial a row over t^0 .. t^N
+        (_, norms, rows), _, _, factors = gegenbauer._shifted_delta((1, 0), 3, 1, ())
         assert gegenbauer._shifted_delta.cache_info().hits == 2
+        assert len(norms) == 4 and all(len(row) == 4 for row in rows.values())
         with pytest.raises(TypeError):
-            coeffs[0][(0, 0)] = (1,)
+            rows[(0, 0)] = (1,)
         with pytest.raises(TypeError):
-            coeffs[0] = {}
+            rows[(2, 0)][0] = 1
         with pytest.raises(TypeError):
             factors[(1, 1)] = 1
         gegenbauer._shifted_delta.cache_clear()

@@ -11,11 +11,16 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import step_reference
 import xspace_reference as ref
 from gegenlab import gegenbauer, integrals
 from gegenlab.scalars import (
     KappaPolynomial,
     KappaRational,
+    _pack,
+    _pmul,
+    _unpack,
+    _width,
     kappa,
     kr,
     lin,
@@ -499,6 +504,104 @@ class TestCharacteristic:
         from gegenlab.scalars import KappaPolynomial, KappaRational
         t = KappaRational(KappaPolynomial([Fraction(-2, 3), 2]))  # 2k - 2/3
         assert char_apply(z1, 3, t) == z1.scale(kr(-16) * kappa() ** 2)
+
+
+# integer κ-polynomials: small, negative and 200-bit-plus coefficients,
+# affine or of higher degree
+_COEFF = st.one_of(st.integers(-9, 9), st.integers(-(1 << 240), 1 << 240))
+
+
+def _intpoly(max_size, nonzero=False):
+    return st.lists(_COEFF, min_size=int(nonzero), max_size=max_size).map(
+        lambda cs: tuple(cs[:max((i + 1 for i, c in enumerate(cs) if c), default=0)])
+    ).filter(lambda p: p or not nonzero)
+
+
+@st.composite
+def _delta_case(draw):
+    """Δ(t)'s coefficients as maps {weight: integer κ-polynomial} for
+    t^0 .. t^N, N = 2..5, and a point t = a/b, affine or general."""
+    N = draw(st.integers(2, 5))
+    weights = draw(st.lists(st.tuples(*[st.integers(0, 2)] * (N - 1)),
+                            min_size=1, max_size=5, unique=True))
+    coeffs = [{w: c for w in weights if (c := draw(_intpoly(5)))} for _ in range(N + 1)]
+    size = draw(st.sampled_from((2, 4)))
+    return coeffs, draw(_intpoly(size)), draw(_intpoly(size, nonzero=True))
+
+
+def _norm1(p):
+    return sum(map(abs, p))
+
+
+class TestPackedDelta:
+    """Δ(t) at a point on Kronecker-packed coefficients equals the tuple
+    rows of step_reference, at the width its bound gives and past it."""
+
+    @settings(max_examples=150, deadline=None, database=None)
+    @given(_delta_case(), _intpoly(4, nonzero=True))
+    def test_matches_the_tuple_reference(self, case, q):
+        coeffs, a, b = case
+        want, _ = step_reference.delta_at(coeffs, 1, a, b)
+        packed = integrals._packed_delta(coeffs, _norm1(a), _norm1(b))
+        assert integrals._delta_at(packed, a, b) == want
+        # a product with q of ‖q‖_1 <= lift decodes at the width returned
+        W, vals = integrals._delta_eval(packed, a, b, _norm1(q))
+        assert vals.keys() == want.keys()
+        for w, x in vals.items():
+            assert _unpack(x * _pack(q, W), W) == _pmul(want[w], q)
+
+    @settings(max_examples=100, deadline=None, database=None)
+    @given(_delta_case())
+    def test_a_narrow_entry_is_repacked_for_the_call(self, case):
+        # packed for the unit point, the entry is too narrow for most
+        # points: the evaluation re-packs its rows, and leaves them as they were
+        coeffs, a, b = case
+        want, _ = step_reference.delta_at(coeffs, 1, a, b)
+        packed = integrals._packed_delta(coeffs, 1, 1)
+        rows = dict(packed[2])
+        assert integrals._delta_at(packed, a, b) == want
+        assert packed[2] == rows
+
+    def test_a_coefficient_just_past_the_entry_width(self):
+        # the entry fits W = 64; the point lifts a coefficient to 2^63,
+        # just past the balanced digits [-2^63, 2^63) of W = 64, so the call
+        # packs at W = 128
+        coeffs = [{(0, 0): (1 << 60,)}, {}, {}, {}]
+        packed = integrals._packed_delta(coeffs, 1, 1)
+        assert packed[0] == 64
+        a, b = (), (2,)
+        W, vals = integrals._delta_eval(packed, a, b)
+        want, _ = step_reference.delta_at(coeffs, 1, a, b)
+        assert want == {(0, 0): (1 << 63,)} and W == 128
+        assert {w: _unpack(x, W) for w, x in vals.items()} == want
+        assert _unpack(vals[(0, 0)], 64) != want[(0, 0)]
+
+    def test_width_covers_the_bound(self):
+        coeffs = [{(1,): (3, -4)}, {(1,): (-7,), (0,): (1 << 100,)}, {(0,): (5, 0, 1)}]
+        a, b = (1, -2), (3,)
+        W, norms, _ = integrals._packed_delta(coeffs, _norm1(a), _norm1(b), lift=9)
+        assert norms == (4, 1 << 100, 5)
+        assert W == _width(9 * integrals._bound(norms, 3, 3))
+        assert integrals._bound(norms, 3, 3) == 4 * 9 + (1 << 100) * 9 + 5 * 9
+
+
+class TestPackedCharacteristic:
+    """char_apply at a numeric t evaluates Δ(t) on packed integers, at a
+    width from the bound of its coefficients and t: the tuple rows of
+    step_reference are its reference."""
+
+    POINTS = [kr(3, 2), lin(1, -2), kr(0), lin(1, 1) / lin(2, 3),
+              kappa() ** 3 * kr(-7, 5) + kr(1, 3),
+              lin((1 << 200) + 1, -(1 << 90)) / lin(3, 1 << 70)]
+
+    @pytest.mark.parametrize("N,degree", [(3, 4), (4, 2)])
+    def test_matches_the_tuple_reference(self, N, degree):
+        weights = [w for w in itertools.product(range(degree + 1), repeat=N - 1)
+                   if sum(w) <= degree]
+        for w in weights:
+            p = gen_eigen(w, N)
+            for t in self.POINTS:
+                assert char_apply(p, N, t) == step_reference.char_apply(p, N, t), (w, t)
 
 
 class TestCalibration:

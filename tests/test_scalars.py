@@ -1,12 +1,17 @@
 """Exact scalar kernel: canonical forms, field arithmetic, evaluation."""
 import copy
 import math
+import os
 import pickle
 import random
+import subprocess
+import sys
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gegenlab import scalars
 from gegenlab.scalars import (
@@ -21,9 +26,13 @@ from gegenlab.scalars import (
     _fmul,
     _from_factored,
     _lcm,
+    _pack,
+    _padd,
     _pdiv_exact,
     _pmul,
     _reduced,
+    _unpack,
+    _width,
     kappa,
     kr,
     kr_eval,
@@ -325,3 +334,85 @@ class TestFactoredDenominator:
         self._assert_same(_from_factored(*value), want)
         # a vanishing constant is the zero value, whatever the factors
         assert _from_factored(*scalars._factored(0, [(1, 1)], [(0, 1)])).is_zero
+
+
+# integer κ-polynomials with small, negative and 200-bit-plus coefficients
+_COEFF = st.one_of(st.integers(-9, 9), st.integers(-(1 << 260), 1 << 260))
+_INTPOLY = st.lists(_COEFF, max_size=7).map(
+    lambda cs: tuple(cs[:max((i + 1 for i, c in enumerate(cs) if c), default=0)]))
+
+
+def _inf(p):
+    return max(map(abs, p), default=0)
+
+
+class TestPacking:
+    """Kronecker substitution: integer κ-polynomials packed at κ = 2^W
+    agree with the tuple loops wherever the width covers the coefficients."""
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(_INTPOLY)
+    def test_round_trip(self, p):
+        W = _width(_inf(p))
+        assert _unpack(_pack(p, W), W) == p
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(_INTPOLY, _INTPOLY)
+    def test_product(self, p, q):
+        W = _width(_inf(p) * sum(map(abs, q)))
+        assert _unpack(_pack(p, W) * _pack(q, W), W) == _pmul(p, q)
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(_INTPOLY, _INTPOLY)
+    def test_sum_and_zero_test(self, p, q):
+        W = _width(max(_inf(p), _inf(q)))
+        x, y = _pack(p, W), _pack(q, W)
+        assert _unpack(x + y, W) == _padd(p, q)
+        assert (x == y) == (p == q)
+
+    def test_width_is_two_bits_past_the_bound_in_words(self):
+        assert [_width(b) for b in (0, 1, (1 << 62) - 1, 1 << 62, 1 << 126)] == [
+            64, 64, 64, 128, 192]
+
+    def test_just_past_a_width(self):
+        # W = 64 holds balanced digits in [-2^63, 2^63): a coefficient just
+        # past that takes W = 128, decodes there and not at W = 64
+        for c in (1 << 63, -(1 << 63) - 1):
+            p = (c, -c, 1)
+            assert _width(_inf(p)) == 128
+            assert _unpack(_pack(p, 128), 128) == p
+            assert _unpack(_pack(p, 64), 64) != p
+        # a bound of 2^62 takes W = 128 too: a difference of two such
+        # polynomials reaches 2^63, which W = 64 cannot hold
+        p, q = (1 << 62, 1), (-(1 << 62), 1)
+        assert _width(1 << 62) == 128
+        assert _unpack(_pack(p, 128) - _pack(q, 128), 128) == (1 << 63,)
+        assert _unpack(_pack(p, 64) - _pack(q, 64), 64) != (1 << 63,)
+
+    def test_a_narrow_width_does_not_decode(self):
+        # the bound is needed: 2^64 - 1 reads as 2^64 κ - 1 at W = 64
+        assert _unpack(_pack(((1 << 64) - 1,), 64), 64) == (-1, 1)
+
+
+def test_reimport_keeps_one_class():
+    # typing caches every Union it builds, so a module-level Union over a
+    # library class would keep each re-imported copy of its module alive
+    code = ("import gc, importlib, pkgutil, sys, gegenlab\n"
+            "names = [m.name for m in pkgutil.iter_modules(gegenlab.__path__)"
+            " if m.name != '__main__']\n"
+            "del gegenlab\n"
+            "for _ in range(4):\n"
+            "    for m in [m for m in sys.modules if m.split('.')[0] == 'gegenlab']:\n"
+            "        del sys.modules[m]\n"
+            "    for name in names:\n"
+            "        importlib.import_module('gegenlab.' + name)\n"
+            "gc.collect()\n"
+            "seen = [o.__qualname__ for o in gc.get_objects()\n"
+            "        if isinstance(o, type) and o.__module__.startswith('gegenlab')]\n"
+            "print(seen.count('KappaPolynomial'), sorted({n for n in seen if seen.count(n) > 1}))")
+    src = str(Path(scalars.__file__).resolve().parents[1])
+    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": pythonpath})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "1 []"
