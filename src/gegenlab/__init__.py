@@ -27,7 +27,6 @@ from .symfun import (
 from .integrals import (
     Calibration,
     CommutatorReport,
-    ConventionMismatch,
     EngineError,
     ZOperator,
     apply_integral,

@@ -524,13 +524,12 @@ def step(m: Weight, s: Weight, N: int) -> tuple[ZPolynomial, KappaRational]:
     The width covers integrals._delta_eval's bound with the target's
     ``_split_norm`` as lift, so the packed equality is the equality in ℤ[κ]
     and only σ's numerator is decoded.  σ is reduced with the denominator
-    factored, so no KappaRational is built before σ and, with calibrate(N)
-    warm, no polynomial gcd is taken.
+    factored, so no KappaRational is built before σ and no polynomial gcd is
+    taken.
     """
     m = tuple(m)
     s = tuple(s)
     _require_dominant(m, N)
-    _integrals.covered(_integrals.CALIBRATION_WEIGHT, N, "step operators")
     sign, subset, r = shift_decompose(s, N)
     *prefix, last = (_padd((c - 2 * r * sign,), (0, slope))  # N · (l_i + t_s)
                      for i, (c, slope) in enumerate(_scaled_l(m, N), start=1)

@@ -1,7 +1,7 @@
 """The operator engine: commuting Sutherland integrals acting on z-polynomials.
 
-The engine realizes the gauge-transformed integrals of motion of order
-j = 2, 3, 4 through the x-representation.  The coordinate dictionary is
+The engine realizes the gauge-transformed integrals of motion of every
+order j = 2..N through the x-representation.  The coordinate dictionary is
 fixed once, for x_j on the unit circle:
 
     derivative factor   ->  2i * (x_j d/dx_j - d/N)   per homogeneous degree d
@@ -60,8 +60,8 @@ covers a bound on every coefficient that is decoded or compared, from
 
 ``apply_integral(2, . )`` is normalized to have the non-negative spectrum
 (its eigenvalue on an eigenpolynomial is the excitation energy); higher
-orders keep their natural normalization, which the characteristic-operator
-calibration pins against the spectral product form.
+orders keep their natural normalization, which the closed-form
+calibration (``calibrate``) puts into the spectral product form.
 
 ``order2_terms`` is the order-2 integral in closed form, which gen_eigen
 solves on; it and the engine are derived apart, so each checks the other.
@@ -105,14 +105,6 @@ from .symfun import (
     weighted_degree,
 )
 
-SUPPORTED_ORDERS = (2, 3, 4)
-
-# N -> the fourth eigen-weight on which calibrate checks each integral.  Its
-# keys are the particle numbers whose whole commuting family (orders 2..N)
-# the engine covers: calibration, Δ(t) and the step operators.
-CALIBRATION_WEIGHT = {3: (1, 1), 4: (0, 1, 0)}
-
-
 def covered(table: dict, N: int, family: str):
     """The entry of a closed-form family's table for N; a ValueError naming
     the family and N when the family does not cover N."""
@@ -125,11 +117,6 @@ def covered(table: dict, N: int, family: str):
 
 class EngineError(ArithmeticError):
     """Internal consistency failure of the operator engine."""
-
-
-class ConventionMismatch(EngineError):
-    """No affine recombination of the engine output fits the spectral
-    product form; signals an engine bug."""
 
 
 # ---------------------------------------------------------------------------
@@ -333,9 +320,9 @@ def apply_integral(order: int, p: ZPolynomial, N: Optional[int] = None) -> ZPoly
 
 
 def _check_order(order: int, N: int) -> None:
-    """A ValueError unless the engine has order and N >= order."""
-    if order not in SUPPORTED_ORDERS:
-        raise ValueError(f"integral order {order} not supported (need 2..4)")
+    """A ValueError unless 2 <= order <= N."""
+    if order < 2:
+        raise ValueError(f"integral order {order} not supported (need 2 or more)")
     if N < order:
         raise ValueError(f"order {order} needs at least {order} particles, got {N}")
 
@@ -456,48 +443,21 @@ class Calibration:
 
 @functools.lru_cache(maxsize=None)
 def calibrate(N: int) -> Calibration:
-    """Fix (scale_j, offset_j) for j = 2..N on z_1 and verify them on
-    known eigenpolynomials, CALIBRATION_WEIGHT[N] among them.  Both run on
-    integer numerators: with X / N^j the order-j image of p = n / D and
-    l_j(w) - offset_j = P / Q, the check scale_j * X = N^j (P / Q) n is
-    cross-multiplied, and the fit on z_1 is the ratio of the leading
-    coefficients of N^j P and Q X, with the same product as its check."""
-    extra_w = covered(CALIBRATION_WEIGHT, N, "calibration")
-    from . import gegenbauer as gg
-
-    rank = N - 1
-    zero_w = (0,) * rank
-    e1_w = tuple(1 if i == 0 else 0 for i in range(rank))
-    en_w = tuple(1 if i == rank - 1 else 0 for i in range(rank))
-    weights = [e1_w, en_w, extra_w]
+    """(scale_j, offset_j) for j = 2..N in closed form.  Δ(t)'s t^(N-j)
+    coefficient is (-1)^j e_j(l) (the Sekiguchi–Debiard operator, Macdonald
+    VI §3–4), and the order-j engine image is that e_j less its term with no
+    derivative factor, e_j of the vacuum spectral vector l_i = (N + 1 - 2i)κ:
+    so scale_j is 1 (-1 at order 2, whose sign apply_integral flips) and
+    offset_j is that vacuum e_j."""
+    if N < 2:
+        raise ValueError(f"calibration needs at least 2 particles, got N={N}")
+    vacuum = [N + 1 - 2 * i for i in range(1, N + 1)]
     orders = range(2, N + 1)
-    splits = [_split(gg.gen_eigen(w, N))[0] for w in weights]
-    images = [_integral(orders, nums, N) for nums in [{e1_w: _ONE}] + splits]
-    scales: dict[int, Fraction] = {}
-    offsets: dict[int, KappaRational] = {}
-    for k, j in enumerate(orders):
-        offset = gg.l_elementary(zero_w, N, j)
-        base = images[0][k]
-        if set(base) != {e1_w}:
-            raise ConventionMismatch(
-                f"order {j} does not act diagonally on z_1 at N={N}")
-        num, den = _cleared(gg.l_elementary(e1_w, N, j) - offset)
-        num, den = _pmul(num, (N ** j,)), _pmul(den, base[e1_w])
-        scale = Fraction(num[-1], den[-1]) if num else Fraction(0)
-        if _padd(_pmul(num, (scale.denominator,)), _pmul(den, (-scale.numerator,))):
-            scale_val = KappaRational(KappaPolynomial(num), KappaPolynomial(den))
-            raise ConventionMismatch(
-                f"order {j} scale at N={N} is not a rational constant: {scale_val!r}")
-        for w, nums, image in zip(weights, splits, images[1:]):
-            P, Q = _cleared(gg.l_elementary(w, N, j) - offset)
-            P, Q = _pmul(P, (-scale.denominator * N ** j,)), _pmul(Q, (scale.numerator,))
-            if any(_padd(_pmul(image[k].get(v, ()), Q), _pmul(nums.get(v, ()), P))
-                   for v in image[k].keys() | nums.keys()):
-                raise ConventionMismatch(
-                    f"order {j} calibration fails on weight {w} at N={N}")
-        scales[j] = scale
-        offsets[j] = offset
-    return Calibration(N, scales, offsets)
+    return Calibration(
+        N, {j: Fraction(-1 if j == 2 else 1) for j in orders},
+        {j: KappaRational(KappaPolynomial(
+            [0] * j + [sum(map(math.prod, itertools.combinations(vacuum, j)))]))
+         for j in orders})
 
 
 def _delta(nums: Numerators, N: int) -> tuple[list[Numerators], int]:

@@ -483,9 +483,10 @@ class TestRankCoverage:
     """The tabulated closed-form families cover ranks 2 and 3 (the order-3
     operator rank 2 only); elsewhere the commands that need them are usage
     errors.  The spectral vector, the order-2 operator and the eigen suite
-    hold at every rank, and the duality suite at every rank from 2: at rank
-    1 it would compare each z_1 table with itself, and at rank 0 check
-    nothing.  The eigen suite needs rank 1 or more."""
+    hold at every rank, and the duality and commutator suites at every rank
+    from 2: at rank 1 duality would compare each z_1 table with itself and
+    no two orders of integral exist, and at rank 0 neither checks anything.
+    The eigen suite needs rank 1 or more."""
 
     @pytest.mark.parametrize("rank", [1, 4])
     @pytest.mark.parametrize("args", [
@@ -494,7 +495,6 @@ class TestRankCoverage:
         ["table", "--kind", "sigma"],
         ["operators", "--order", "3"],
         ["verify", "--suite", "recurrence"],
-        ["verify", "--suite", "commutators"],
         ["verify", "--suite", "sigma"],
     ])
     def test_outside_ranks_two_and_three(self, args, rank, capsys):
@@ -553,6 +553,15 @@ class TestRankCoverage:
             assert rc == 2 and not out and f"rank {rank}" in err
         else:
             assert rc == 0 and "suite duality" in out
+
+    @pytest.mark.parametrize("rank", [0, 1, 4])
+    def test_commutator_suite_at_any_rank(self, rank, capsys):
+        rc, out, err = run_cli(["verify", "--suite", "commutators", "--rank", str(rank)],
+                               capsys)
+        if rank < 2:
+            assert rc == 2 and not out and f"commutator suite at rank {rank}" in err
+        else:
+            assert rc == 0 and "suite commutators: 6/6 pass" in out
 
 
 class TestEmptySuite:

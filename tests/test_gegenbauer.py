@@ -539,6 +539,29 @@ class TestStep:
         assert P == ZPolynomial.variable(3, 1)
         assert sigma == kr(-96) * kappa() ** 3
 
+    def test_every_shift_at_five_particles_cold(self):
+        # every shift of every r-subset, raising and lowering, on weights of
+        # sum <= 2, past the tables: σ is the coefficient of P_{m+s} in
+        # z_j·P_m times the Δ factors' spectral product on P_{m+s}
+        N = 5
+        shifts = sorted({gegenbauer._mu_sum(sub, N - 1) for r in range(1, N)
+                         for sub in itertools.combinations(range(1, N + 1), r)})
+        _clear_caches()
+        steps = [(m, s, step(m, s, N)) for m in _weights(N, 2) for s in shifts]
+        assert len(steps) == 450
+        nonzero = [(m, s, P, sigma) for m, s, (P, sigma) in steps if not sigma.is_zero]
+        assert len(nonzero) == 166
+        for m, s, P, sigma in nonzero:
+            target = tuple(a + b for a, b in zip(m, s))
+            assert P == gen_eigen(target, N), (m, s)
+            sign, subset, r = shift_decompose(s, N)
+            value = expand_product(r if sign > 0 else N - r, m, N)[s]
+            for i in subset:
+                point = l_vector(m, N).component(i) + kr(-2 * sign * r, N)
+                for k in range(1, N + 1):
+                    value = value * (point - l_vector(target, N).component(k))
+            assert sigma == value, (m, s)
+
     @pytest.fixture
     def fresh_packed_splits(self):
         # the packed splits and their norms are read off _symbolic_eigen's
@@ -910,17 +933,16 @@ def _recurrence_reference(m, N):
 
 
 class TestGcdFreeStep:
-    """With calibrate warm, step reduces σ with P_m's denominator kept
-    factored and takes no polynomial gcd, cold or warm; expand_product and
-    gen_recurrence peel on factored values and take none either."""
+    """step reduces σ with P_m's denominator kept factored and takes no
+    polynomial gcd, cold or warm; expand_product and gen_recurrence peel on
+    factored values and take none either."""
 
     # the sigma suite's and criterion 6's grid
     GRID = [(m, N) for N, bound in ((3, 2), (4, 1))
             for m in itertools.product(range(bound + 1), repeat=N - 1)]
 
     def test_cold_and_warm(self, monkeypatch):
-        calibrate(3)
-        calibrate(4)
+        calibrate.cache_clear()
         gegenbauer._symbolic_eigen.cache_clear()
         gegenbauer._shifted_delta.cache_clear()
         cases = [(m, s, N) for m, N in self.GRID for s in tabulated_shifts(N)]
@@ -967,16 +989,25 @@ def _family_calls(N):
     raise_first = (1,) + (0,) * (rank - 1)
     return {
         "gen_recurrence": lambda: gen_recurrence(vacuum, N),
-        "calibrate": lambda: calibrate(N),
-        "char_apply": lambda: integrals.char_apply(ZPolynomial.one(rank), N),
-        "step": lambda: step(vacuum, raise_first, N),
         "tabulated_shifts": lambda: tabulated_shifts(N),
         "sigma_closed_form": lambda: sigma_closed_form(vacuum, raise_first, N),
     }
 
 
+def _engine_calls(N):
+    """One call per family of the engine's whole commuting family."""
+    rank = N - 1
+    vacuum = (0,) * rank
+    return {
+        "calibrate": lambda: calibrate(N),
+        "char_apply": lambda: integrals.char_apply(ZPolynomial.one(rank), N),
+        "step": lambda: step(vacuum, (1,) + (0,) * (rank - 1), N),
+    }
+
+
 class TestFamilyCoverage:
-    """Each closed-form family covers exactly N = 3 and 4."""
+    """Each tabulated closed-form family covers exactly N = 3 and 4; the
+    families that read only the engine cover every N."""
 
     @pytest.mark.parametrize("N", [2, 3, 4, 5])
     @pytest.mark.parametrize("family", sorted(_family_calls(3)))
@@ -989,6 +1020,11 @@ class TestFamilyCoverage:
             call()
         assert err.type is ValueError
         assert f"N={N}" in str(err.value) or f"got {N}" in str(err.value)
+
+    @pytest.mark.parametrize("N", [2, 3, 4, 5])
+    @pytest.mark.parametrize("family", sorted(_engine_calls(3)))
+    def test_engine_families_cover_every_n(self, family, N):
+        _engine_calls(N)[family]()
 
 
 def _cached_functions():
@@ -1011,6 +1047,7 @@ class TestCaches:
     def test_caches_can_be_cleared(self):
         def compute():
             return (gen_eigen((2, 1), 3), gen_recurrence((2, 1), 3), calibrate(3),
+                    integrals.char_apply(ZPolynomial.variable(2, 1), 3),
                     cli.build_parser().format_help())
 
         # no memo dict outside cache_clear's reach

@@ -11,6 +11,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import calibration_reference
 import step_reference
 import xspace_reference as ref
 from gegenlab import gegenbauer, integrals
@@ -185,8 +186,10 @@ class TestApplyIntegral:
             assert all(weighted_degree(v) <= weighted_degree(w) for v in out.terms)
 
     def test_unsupported_order(self):
-        with pytest.raises(ValueError):
-            apply_integral(5, ZPolynomial.one(4), 5)
+        for order, N in [(1, 3), (6, 5)]:
+            with pytest.raises(ValueError) as err:
+                apply_integral(order, ZPolynomial.one(N - 1), N)
+            assert f"order {order}" in str(err.value)
 
 
 class TestEngineErrors:
@@ -505,6 +508,15 @@ class TestCharacteristic:
         t = KappaRational(KappaPolynomial([Fraction(-2, 3), 2]))  # 2k - 2/3
         assert char_apply(z1, 3, t) == z1.scale(kr(-16) * kappa() ** 2)
 
+    @pytest.mark.parametrize("N,total", [(2, 4), (5, 2), (6, 1)])
+    def test_spectral_product_on_eigenpolynomials(self, N, total):
+        # beyond N = 3 and 4, whose eigenpolynomials the acceptance suite
+        # checks: gen_eigen solves on the closed-form L₂, not the engine
+        for m in itertools.product(range(total + 1), repeat=N - 1):
+            if sum(m) <= total:
+                p = gen_eigen(m, N)
+                assert char_apply(p, N) == [p.scale(c) for c in char_eigenvalue(m, N)], m
+
 
 # integer κ-polynomials: small, negative and 200-bit-plus coefficients,
 # affine or of higher degree
@@ -605,6 +617,15 @@ class TestPackedCharacteristic:
 
 
 class TestCalibration:
+    @pytest.mark.parametrize("N", range(2, 8))
+    def test_equals_the_fit(self, N):
+        assert calibrate(N) == calibration_reference.fit(N)
+
+    def test_needs_two_particles(self):
+        with pytest.raises(ValueError) as err:
+            calibrate(1)
+        assert "N=1" in str(err.value)
+
     def test_order2_scale_and_offset(self):
         cal = calibrate(3)
         assert cal.scales[2] == Fraction(-1)
@@ -622,8 +643,8 @@ class TestCalibration:
         honest = gegenbauer.l_elementary
         monkeypatch.setattr(gegenbauer, "l_elementary", lambda m, N, j: (
             honest(m, N, j) + (kr(1) if m == (1, 1) else kr(0))))
-        with pytest.raises(integrals.ConventionMismatch) as err:
-            calibrate.__wrapped__(3)
+        with pytest.raises(calibration_reference.ConventionMismatch) as err:
+            calibration_reference.fit(3)
         assert "weight (1, 1)" in str(err.value) and "N=3" in str(err.value)
 
     def test_scales_are_rational_constants(self):
@@ -633,15 +654,16 @@ class TestCalibration:
             assert isinstance(s, Fraction)
 
 
-# (N, w): the monomials of weighted degree <= 2 on which the engine's orders 3
-# and 4 are checked against the closed-form L₂ beyond N = 4
-_COMMUTATOR_CASES = [(N, w) for N in (5, 6, 7) for w in _z_monomial_weights(N - 1, 2)]
+# (N, order, w): the monomials of weighted degree <= 2 on which the engine's
+# orders 3..N are checked to commute with the closed-form L₂ beyond N = 4
+_COMMUTATOR_CASES = [(N, order, w) for N in (5, 6, 7) for order in range(3, N + 1)
+                     for w in _z_monomial_weights(N - 1, 2)]
 
 
 class TestCommutators:
-    @pytest.mark.parametrize("order", [3, 4])
-    @pytest.mark.parametrize("N,w", _COMMUTATOR_CASES,
-                             ids=[f"N{N}-{''.join(map(str, w))}" for N, w in _COMMUTATOR_CASES])
+    @pytest.mark.parametrize("N,order,w", _COMMUTATOR_CASES,
+                             ids=[f"N{N}-{''.join(map(str, w))}-{order}"
+                                  for N, order, w in _COMMUTATOR_CASES])
     def test_commutes_with_closed_form_order_two(self, N, order, w):
         p = ZPolynomial.monomial(N - 1, w)
         L2 = transcribed_operator(N, 2)
