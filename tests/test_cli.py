@@ -481,8 +481,8 @@ class TestRecurrenceTable:
 
 class TestRankCoverage:
     """The tabulated closed-form families cover ranks 2 and 3 (the order-3
-    operator rank 2 only); elsewhere the commands that need them are usage
-    errors.  The spectral vector, the order-2 operator and the eigen suite
+    operator rank 2 only, the bundled appendix table rank 3 only); elsewhere
+    the commands that need them are usage errors.  The spectral vector, the order-2 operator and the eigen suite
     hold at every rank, and the duality and commutator suites at every rank
     from 2: at rank 1 duality would compare each z_1 table with itself and
     no two orders of integral exist, and at rank 0 neither checks anything.
@@ -495,6 +495,7 @@ class TestRankCoverage:
         ["table", "--kind", "sigma"],
         ["operators", "--order", "3"],
         ["verify", "--suite", "recurrence"],
+        ["verify", "--suite", "appendix"],
         ["verify", "--suite", "sigma"],
     ])
     def test_outside_ranks_two_and_three(self, args, rank, capsys):
