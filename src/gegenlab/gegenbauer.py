@@ -464,30 +464,29 @@ def expand_product(r: int, m: Weight, N: int) -> dict[Weight, KappaRational]:
 
 @functools.lru_cache(maxsize=None)
 def _shifted_delta(m: Weight, N: int, r: int, points: tuple):
-    """The Δ(t) coefficients of Δ(p_1/N) ⋯ Δ(p_k/N) z_r · P_m for the integer
-    κ-polynomials p of points: (packed, M, scale, factors), the coefficients
-    packed as integrals._packed_delta gives them, integer numerators over
-    M · scale · Π f^k, where M is an integer and scale · Π f^k is the common
-    denominator of P_m's reduced split, kept factored.  The width is fixed
-    here, wide enough for every point N · (l_i + t_s) of m and a lift of
-    P_m's own ``_split_norm``.  Each prefix of the points is its own key:
-    the last point is evaluated on the packed coefficients of the prefix,
-    so integrals._delta runs once per key."""
+    """The coefficients in u of N^N Δ(u/N) (integrals._delta) on
+    Δ(u_1/N) ⋯ Δ(u_k/N) z_r · P_m for the integer κ-polynomials u_i of
+    points: (packed, scale, factors), the coefficients packed as
+    integrals._packed_delta gives them, integer numerators over
+    N^(N·k) · scale · Π f^e, where scale · Π f^e is the common denominator
+    of P_m's reduced split, kept factored.  The width is fixed here, wide
+    enough for every point N · (l_i + t_s) of m and a lift of P_m's own
+    ``_split_norm``.  Each prefix of the points is its own key: the last
+    point is evaluated on the packed coefficients of the prefix, so
+    integrals._delta runs once per key."""
     if points:
-        packed, M, scale, factors = _shifted_delta(m, N, r, points[:-1])
-        nums = _integrals._delta_at(packed, points[-1], (N,))
-        M *= N ** N
+        packed, scale, factors = _shifted_delta(m, N, r, points[:-1])
+        nums = _integrals._delta_at(packed, points[-1], (1,))
     else:
         split = _symbolic_eigen(m, N)[1]
         scale = math.lcm(*(c for _, c, _ in split.values()))
         joint = functools.reduce(operator.or_, (f for _, _, f in split.values()))
         nums = {w: _pmul(num, _cofactor(scale // c, joint - f))
                 for w, (num, c, f) in _times_z(r, split).items()}
-        M, factors = 1, types.MappingProxyType(joint)
-    coeffs, more = _integrals._delta(nums, N)
+        factors = types.MappingProxyType(joint)
     a1 = max(abs(c) + 2 * N + abs(slope) for c, slope in _scaled_l(m, N))
-    return (_integrals._packed_delta(coeffs, a1, N, _split_norm(m, N)),
-            M * more, scale, factors)
+    return (_integrals._packed_delta(_integrals._delta(nums, N), a1, 1, _split_norm(m, N)),
+            scale, factors)
 
 
 @functools.lru_cache(maxsize=None)
@@ -514,18 +513,19 @@ def step(m: Weight, s: Weight, N: int) -> tuple[ZPolynomial, KappaRational]:
 
     The operator is z_r times a factor Δ(l_i + t_s) for each i of the shift's
     subset, with t_s = -2r/N when raising and +2r/N when lowering with
-    z_{N-r}.  Each point is N · (l_i + t_s), an integer affine κ-polynomial
-    over b = N, and each factor evaluates the packed Δ coefficients of the
-    factors before it (``_shifted_delta``), which every shift of one sign,
-    r and prefix shares.  The last factor stays packed (Kronecker
-    substitution): each monomial's numerator is N + 1 integer products, and
-    the result is checked proportional to P_{m+s} by cross-multiplying it
-    against the target's split packed at the same width (``_packed_split``).
-    The width covers integrals._delta_eval's bound with the target's
-    ``_split_norm`` as lift, so the packed equality is the equality in ℤ[κ]
-    and only σ's numerator is decoded.  σ is reduced with the denominator
-    factored, so no KappaRational is built before σ and no polynomial gcd is
-    taken.
+    z_{N-r}.  Each point u = N · (l_i + t_s) is an integer affine
+    κ-polynomial, at which the factor N^N Δ(u/N) evaluates, with b = 1, the
+    packed coefficients in u of the factors before it (``_shifted_delta``),
+    which every shift of one sign, r and prefix shares; so the r factors
+    put N^(N·r) into σ's denominator.  The last factor stays packed
+    (Kronecker substitution): each monomial's numerator is N + 1 integer
+    products, and the result is checked proportional to P_{m+s} by
+    cross-multiplying it against the target's split packed at the same
+    width (``_packed_split``).  The width covers integrals._delta_eval's
+    bound with the target's ``_split_norm`` as lift, so the packed equality
+    is the equality in ℤ[κ] and only σ's numerator is decoded.  σ is
+    reduced with the denominator factored, so no KappaRational is built
+    before σ and no polynomial gcd is taken.
     """
     m = tuple(m)
     s = tuple(s)
@@ -534,11 +534,11 @@ def step(m: Weight, s: Weight, N: int) -> tuple[ZPolynomial, KappaRational]:
     *prefix, last = (_padd((c - 2 * r * sign,), (0, slope))  # N · (l_i + t_s)
                      for i, (c, slope) in enumerate(_scaled_l(m, N), start=1)
                      if i in subset)
-    packed, M, scale, factors = _shifted_delta(m, N, r if sign > 0 else N - r,
-                                               tuple(prefix))
+    packed, scale, factors = _shifted_delta(m, N, r if sign > 0 else N - r,
+                                            tuple(prefix))
     target = tuple(a + b for a, b in zip(m, s))
     valid = all(e >= 0 for e in target)
-    W, vals = _integrals._delta_eval(packed, last, (N,),
+    W, vals = _integrals._delta_eval(packed, last, (1,),
                                      _split_norm(target, N) if valid else 1)
     if not vals:
         return ZPolynomial.zero(N - 1), KappaRational.zero()
@@ -553,7 +553,7 @@ def step(m: Weight, s: Weight, N: int) -> tuple[ZPolynomial, KappaRational]:
         raise DecompositionError(
             f"step result for {where} is not proportional to one polynomial")
     return (_symbolic_eigen(target, N)[0],
-            _from_factored(_unpack(top, W), scale * M * N ** N, factors))
+            _from_factored(_unpack(top, W), scale * N ** (N * r), factors))
 
 
 # ---------------------------------------------------------------------------

@@ -45,23 +45,30 @@ The integrals and the characteristic operator Δ(t) act fraction-free, in
 the sense of Collins: a z-polynomial is split into κ-polynomials with
 integer coefficients (tuples of Python ints) over one common denominator D
 in ℤ[κ], the lcm of its cleared coefficient denominators.  The engine
-images, the calibration scales and offsets and t = a/b are cleared to
-integers and multiplied into the numerators; their denominators N^j, the
-calibration's integer factor and b^N go into D.  Only each output
+images and a point t = a/b are cleared to integers and multiplied into the
+numerators; their denominators N^j and b^N go into D.  Only each output
 coefficient is reduced, once, as a KappaRational numerator / D, with no
 polynomial gcd when D is a constant.
 
-Δ(t) at a point t = a/b runs on integers by Kronecker substitution: its
-coefficients are packed at κ = 2^W with balanced base-2^W digits
-(``_packed_delta``), so each monomial's numerator Σ_k C_k a^k b^(N-k) is
-N + 1 integer products (``_delta_eval``).  Packing is a ring map, and W
-covers a bound on every coefficient that is decoded or compared, from
-‖pq‖_∞ <= ‖p‖_∞ ‖q‖_1 (``_bound``), so the decoding is exact.
+Δ(t) is kept in u = N·t, where its coefficients are integers with the
+fixed multiplier N^N (``_delta``): on numerators n,
+
+    N^N Δ(u/N) = Σ_j u^(N-j) (-1)^j (X_j + N^j e_j κ^j n),
+
+with X_j the order-j image over N^j and e_j the integer e_j of the vacuum
+(``_vacuum_e``).  At a point u = a/b it runs on integers by Kronecker
+substitution: its coefficients U_k of u^k are packed at κ = 2^W with
+balanced base-2^W digits (``_packed_delta``), so each monomial's
+numerator Σ_k U_k a^k b^(N-k), over N^N b^N, is N + 1 integer products
+(``_delta_eval``).  Packing is a ring map, and W covers a bound on every
+coefficient that is decoded or compared, from ‖pq‖_∞ <= ‖p‖_∞ ‖q‖_1
+(``_bound``), so the decoding is exact.
 
 ``apply_integral(2, . )`` is normalized to have the non-negative spectrum
-(its eigenvalue on an eigenpolynomial is the excitation energy); higher
-orders keep their natural normalization, which the closed-form
-calibration (``calibrate``) puts into the spectral product form.
+(its eigenvalue on an eigenpolynomial is the excitation energy): it is the
+one place that flips the engine's order-2 sign.  Higher orders keep their
+natural normalization, which the closed-form calibration (``calibrate``)
+puts into the spectral product form.
 
 ``order2_terms`` is the order-2 integral in closed form, which gen_eigen
 solves on; it and the engine are derived apart, so each checks the other.
@@ -290,17 +297,17 @@ def _rebuild(rank: int, nums: Numerators, D: IntPoly) -> ZPolynomial:
 
 
 def _integral(orders: Sequence[int], nums: Numerators, N: int) -> list[Numerators]:
-    """N^j times the order-j integral for each j in orders, on numerators
-    over a common denominator, from one engine pass per monomial that stops
-    at the highest order."""
+    """N^j times the order-j integral in its natural normalization (order 2
+    unflipped) for each j in orders, on numerators over a common
+    denominator, from one engine pass per monomial that stops at the
+    highest order."""
     outs: list[Numerators] = [{} for _ in orders]
     for w, c in nums.items():
         images = _engine_pass(w, N, max(orders))
         for out, j in zip(outs, orders):
             for v, e in images[j - 2]:
                 _add_num(out, v, _pmul(c, e))
-    return [{w: _pmul(c, (-1,)) for w, c in out.items()} if j == 2 else out
-            for j, out in zip(orders, outs)]
+    return outs
 
 
 def apply_integral(order: int, p: ZPolynomial, N: Optional[int] = None) -> ZPolynomial:
@@ -316,7 +323,8 @@ def apply_integral(order: int, p: ZPolynomial, N: Optional[int] = None) -> ZPoly
         raise RankMismatch(f"rank {p.rank} polynomial with N={N}")
     nums, D = _split(p)
     image, = _integral((order,), nums, N)
-    return _rebuild(p.rank, image, _pmul(D, (N ** order,)))
+    sign = -1 if order == 2 else 1
+    return _rebuild(p.rank, image, _pmul(D, (sign * N ** order,)))
 
 
 def _check_order(order: int, N: int) -> None:
@@ -441,55 +449,44 @@ class Calibration:
     offsets: dict[int, KappaRational]
 
 
+def _vacuum_e(N: int, j: int) -> int:
+    """e_j of the vacuum spectral vector l_i = (N + 1 - 2i)κ over κ^j, an
+    integer; zero at odd j, as the l_i are symmetric about 0."""
+    return sum(map(math.prod, itertools.combinations(range(N - 1, -N, -2), j)))
+
+
 @functools.lru_cache(maxsize=None)
 def calibrate(N: int) -> Calibration:
     """(scale_j, offset_j) for j = 2..N in closed form.  Δ(t)'s t^(N-j)
     coefficient is (-1)^j e_j(l) (the Sekiguchi–Debiard operator, Macdonald
     VI §3–4), and the order-j engine image is that e_j less its term with no
-    derivative factor, e_j of the vacuum spectral vector l_i = (N + 1 - 2i)κ:
+    derivative factor, e_j of the vacuum spectral vector (``_vacuum_e``):
     so scale_j is 1 (-1 at order 2, whose sign apply_integral flips) and
     offset_j is that vacuum e_j."""
     if N < 2:
         raise ValueError(f"calibration needs at least 2 particles, got N={N}")
-    vacuum = [N + 1 - 2 * i for i in range(1, N + 1)]
     orders = range(2, N + 1)
     return Calibration(
         N, {j: Fraction(-1 if j == 2 else 1) for j in orders},
-        {j: KappaRational(KappaPolynomial(
-            [0] * j + [sum(map(math.prod, itertools.combinations(vacuum, j)))]))
-         for j in orders})
+        {j: KappaRational(KappaPolynomial([0] * j + [_vacuum_e(N, j)])) for j in orders})
 
 
-def _delta(nums: Numerators, N: int) -> tuple[list[Numerators], int]:
-    """The coefficients of t^0 .. t^N of the characteristic operator (the
-    Sekiguchi–Debiard operator, Macdonald VI §3) times an integer M,
-    returned with them, on numerators over a common denominator; M clears
-    every calibration scale and offset.  The images of the orders 2..N come
-    from one engine pass per monomial."""
-    cal = calibrate(N)
-    affine = {}
-    for j in range(2, N + 1):
-        offset, r = _cleared(cal.offsets[j])
-        if len(r) != 1:
-            raise EngineError(f"calibration order {j}, N={N}: offset"
-                              f" {cal.offsets[j]!r} has a κ-denominator")
-        affine[j] = (cal.scales[j] / N ** j, offset, r[0])
-    M = math.lcm(*(s.denominator for s, _, _ in affine.values()),
-                 *(r for _, _, r in affine.values()))
+def _delta(nums: Numerators, N: int) -> list[Numerators]:
+    """The coefficients of u^0 .. u^N of N^N Δ(u/N), with Δ(t) the
+    characteristic operator (the Sekiguchi–Debiard operator, Macdonald VI
+    §3), on numerators n over a common denominator: the coefficient of
+    u^(N-j) is (-1)^j (X_j + N^j e_j κ^j n), with X_j the engine's order-j
+    image over N^j, unflipped, and e_j the vacuum's (``_vacuum_e``).  The
+    images of the orders 2..N come from one engine pass per monomial."""
     coeffs: list[Numerators] = [{} for _ in range(N + 1)]
-    coeffs[N] = {w: _pmul(c, (M,)) for w, c in nums.items()}
-    images = _integral(range(2, N + 1), nums, N)
-    for (j, (scale, offset, r)), image in zip(affine.items(), images):
-        sign = (-1) ** j
-        scale = (sign * scale.numerator * (M // scale.denominator),)
-        offset = _pmul(offset, (sign * (M // r),))
-        oj: Numerators = {}
-        for w, c in image.items():
-            _add_num(oj, w, _pmul(c, scale))
-        for w, c in nums.items():
-            _add_num(oj, w, _pmul(c, offset))
-        coeffs[N - j] = oj
-    return coeffs, M
+    coeffs[N] = dict(nums)
+    for j, image in enumerate(_integral(range(2, N + 1), nums, N), start=2):
+        if e := _vacuum_e(N, j):
+            offset = (0,) * j + (N ** j * e,)
+            for w, c in nums.items():
+                _add_num(image, w, _pmul(c, offset))
+        coeffs[N - j] = image if j % 2 == 0 else {w: _pmul(c, (-1,)) for w, c in image.items()}
+    return coeffs
 
 
 def _packed_delta(coeffs: list[Numerators], a1: int, b1: int, lift: int = 1) -> tuple:
@@ -545,20 +542,22 @@ def char_apply(p: ZPolynomial, N: int, t: Optional[KappaRational] = None):
     t^0 .. t^N; with a numeric KappaRational t returns the single evaluated
     z-polynomial.  On an eigenpolynomial the result factorizes as the product
     of (t - spectral component) times the polynomial.  Both act on p's
-    integer numerators over its common denominator D; the multiplier of
-    the coefficients, or of the evaluation, goes into D, and each output
-    coefficient is reduced once.
+    integer numerators over its common denominator D, through Δ's
+    coefficients in u = N·t (``_delta``): the coefficient of t^k is that of
+    u^k over N^(N-k), and t = a/b is evaluated at u = N·a / b over N^N b^N.
+    Each output coefficient is reduced once.
     """
     rank = N - 1
     if p.rank != rank:
         raise RankMismatch(f"rank {p.rank} polynomial with N={N}")
     nums, D = _split(p)
-    coeffs, M = _delta(nums, N)
+    coeffs = _delta(nums, N)
     if t is None:
-        return [_rebuild(rank, c, _pmul(D, (M,))) for c in coeffs]
+        return [_rebuild(rank, c, _pmul(D, (N ** (N - k),))) for k, c in enumerate(coeffs)]
     a, b = _cleared(_coerce_scalar(t))
+    a = _pmul(a, (N,))
     out = _delta_at(_packed_delta(coeffs, sum(map(abs, a)), sum(map(abs, b))), a, b)
-    return _rebuild(rank, out, _pmul(D, functools.reduce(_pmul, [b] * N, (M,))))
+    return _rebuild(rank, out, _pmul(D, functools.reduce(_pmul, [b] * N, (N ** N,))))
 
 
 # ---------------------------------------------------------------------------

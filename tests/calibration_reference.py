@@ -39,7 +39,10 @@ def fit(N):
     weights = [e1_w, en_w, extra_weight(N)]
     orders = range(2, N + 1)
     splits = [_split(gg.gen_eigen(w, N))[0] for w in weights]
-    images = [_integral(orders, nums, N) for nums in [{e1_w: (1,)}] + splits]
+    # apply_integral's normalization: order 2 flipped to a non-negative spectrum
+    images = [[{v: _pmul(c, (-1,)) for v, c in image.items()} if j == 2 else image
+               for j, image in zip(orders, _integral(orders, nums, N))]
+              for nums in [{e1_w: (1,)}] + splits]
     scales, offsets = {}, {}
     for k, j in enumerate(orders):
         offset = gg.l_elementary(zero_w, N, j)

@@ -8,7 +8,8 @@ things on integer κ-polynomials as tuples, one coefficient loop per
 product (``scalars._pmul``), so that the tests can check the kernel
 against them:
 
-* ``delta_at``: Δ(t) at t = a/b on the coefficients of ``integrals._delta``;
+* ``delta_at``: N^N Δ(u/N) at u = a/b on the coefficients in u of
+  ``integrals._delta``;
 * ``ratio``: the proportionality check against a reduced split;
 * ``shifted_delta``, ``step`` and ``char_apply``: the library's functions
   of those names on top of these two.
@@ -25,10 +26,10 @@ from gegenlab.scalars import KappaRational, _cleared, _cofactor, _from_factored,
 from gegenlab.symfun import ZPolynomial, _coerce_scalar
 
 
-def delta_at(coeffs, M, a, b):
-    """Δ(t) from its coefficients times M (``integrals._delta``), for
-    t = a/b: the numerators sum_k coeff_k * a^k * b^(N-k) and their
-    multiplier M * b^N."""
+def delta_at(coeffs, a, b):
+    """Δ(t) from the coefficients of N^N Δ(u/N) in u = N·t
+    (``integrals._delta``), at u = a/b: the numerators
+    sum_k coeff_k * a^k * b^(N-k) and their multiplier N^N * b^N."""
     N = len(coeffs) - 1
     b_powers = [(1,)]
     for _ in range(N):
@@ -40,7 +41,7 @@ def delta_at(coeffs, M, a, b):
         for w, c in coeff.items():
             integrals._add_num(out, w, _pmul(c, factor))
         a_power = _pmul(a_power, a)
-    return out, _pmul((M,), b_powers[N])
+    return out, _pmul((N ** N,), b_powers[N])
 
 
 def ratio(nums, split, w0):
@@ -58,38 +59,37 @@ def ratio(nums, split, w0):
 @functools.lru_cache(maxsize=None)
 def shifted_delta(m, N, r, points):
     """``gegenbauer._shifted_delta`` with its coefficients as tuple rows:
-    (coefficients of t^0 .. t^N, M, scale, factors)."""
+    (coefficients of u^0 .. u^N, scale, factors)."""
     if points:
-        coeffs, M, scale, factors = shifted_delta(m, N, r, points[:-1])
-        nums, (M,) = delta_at(coeffs, M, points[-1], (N,))
+        coeffs, scale, factors = shifted_delta(m, N, r, points[:-1])
+        nums, _ = delta_at(coeffs, points[-1], (1,))
     else:
         split = gegenbauer._symbolic_eigen(m, N)[1]
         scale = math.lcm(*(c for _, c, _ in split.values()))
         joint = functools.reduce(operator.or_, (f for _, _, f in split.values()))
         nums = {w: _pmul(num, _cofactor(scale // c, joint - f))
                 for w, (num, c, f) in gegenbauer._times_z(r, split).items()}
-        M, factors = 1, joint
-    coeffs, more = integrals._delta(nums, N)
-    return coeffs, M * more, scale, factors
+        factors = joint
+    return integrals._delta(nums, N), scale, factors
 
 
 def last_factor(m, s, N):
-    """The step's last Δ factor on tuple rows: its numerators, their
-    multiplier, the entry of ``shifted_delta`` they were evaluated on and
-    the point."""
+    """The step's last Δ factor on tuple rows: its numerators, the
+    multiplier N^(N·r) of the step's r factors, the entry of
+    ``shifted_delta`` they were evaluated on and the point."""
     sign, subset, r = gegenbauer.shift_decompose(s, N)
     *prefix, last = (_padd((c - 2 * r * sign,), (0, slope))
                      for i, (c, slope) in enumerate(gegenbauer._scaled_l(m, N), start=1)
                      if i in subset)
     entry = shifted_delta(m, N, r if sign > 0 else N - r, tuple(prefix))
-    nums, (multiplier,) = delta_at(entry[0], entry[1], last, (N,))
-    return nums, multiplier, entry, last
+    nums, _ = delta_at(entry[0], last, (1,))
+    return nums, N ** (N * r), entry, last
 
 
 def step(m, s, N):
     """``gegenbauer.step`` on tuple rows."""
     m, s = tuple(m), tuple(s)
-    nums, multiplier, (_, _, scale, factors), _ = last_factor(m, s, N)
+    nums, multiplier, (_, scale, factors), _ = last_factor(m, s, N)
     if not nums:
         return ZPolynomial.zero(N - 1), KappaRational.zero()
     target = tuple(a + b for a, b in zip(m, s))
@@ -105,6 +105,6 @@ def step(m, s, N):
 def char_apply(p, N, t):
     """``integrals.char_apply`` at a numeric t, on tuple rows."""
     nums, D = integrals._split(p)
-    coeffs, M = integrals._delta(nums, N)
-    out, mult = delta_at(coeffs, M, *_cleared(_coerce_scalar(t)))
+    a, b = _cleared(_coerce_scalar(t))
+    out, mult = delta_at(integrals._delta(nums, N), _pmul(a, (N,)), b)
     return integrals._rebuild(p.rank, out, _pmul(D, mult))

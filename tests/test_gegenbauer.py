@@ -651,7 +651,7 @@ class TestPackedStep:
             step(m, s, N)
             (_, norms, _), a, b, lift, W = calls[-1]
             nums, _, _, last = step_reference.last_factor(m, s, N)
-            assert (a, b) == (last, (N,))
+            assert (a, b) == (last, (1,))
             products = list(nums.values())
             if nums:
                 target = tuple(x + y for x, y in zip(m, s))
@@ -659,7 +659,7 @@ class TestPackedStep:
                     products += [_pmul(nums.get(w, ()), _cofactor(c, f)),
                                  _pmul(nums[target], num)]
             true = max((abs(x) for p in products for x in p), default=0)
-            bound = lift * integrals._bound(norms, sum(map(abs, a)), N)
+            bound = lift * integrals._bound(norms, sum(map(abs, a)), 1)
             assert true <= bound, (m, s, N)
             assert W >= _width(bound) >= true.bit_length() + 2, (m, s, N)
         firsts = [(packed[0], W) for packed, _, _, lift, W in calls if lift == 1]
@@ -1077,8 +1077,8 @@ class TestCaches:
         info = gegenbauer._shifted_delta.cache_info()
         assert (info.hits, info.misses) == (1, 1)
         # keyed on (m, N, r, the points applied before the last); the
-        # coefficients are packed, per monomial a row over t^0 .. t^N
-        (_, norms, rows), _, _, factors = gegenbauer._shifted_delta((1, 0), 3, 1, ())
+        # coefficients are packed, per monomial a row over u^0 .. u^N
+        (_, norms, rows), _, factors = gegenbauer._shifted_delta((1, 0), 3, 1, ())
         assert gegenbauer._shifted_delta.cache_info().hits == 2
         assert len(norms) == 4 and all(len(row) == 4 for row in rows.values())
         with pytest.raises(TypeError):

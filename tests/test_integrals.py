@@ -28,7 +28,6 @@ from gegenlab.scalars import (
 )
 from gegenlab.symfun import NonSymmetricInput, XPolynomial, ZPolynomial, weighted_degree
 from gegenlab.integrals import (
-    Calibration,
     EngineError,
     apply_integral,
     apply_momentum,
@@ -224,16 +223,6 @@ class TestEngineErrors:
                             lambda lam, N: (((1, 0), Fraction(1, 2)),))
         self._assert_names_inputs(EngineError, 0)
 
-    def test_calibration_offset_with_kappa_denominator(self, monkeypatch):
-        cal = calibrate(3)
-        offsets = {**cal.offsets, 3: kr(1) / lin(1, 2)}
-        monkeypatch.setattr(integrals, "calibrate",
-                            lambda N: Calibration(N, cal.scales, offsets))
-        with pytest.raises(EngineError) as err:
-            char_apply(ZPolynomial.one(2), 3)
-        for part in ("calibration order 3", "N=3", "κ-denominator"):
-            assert part in str(err.value)
-
 
 def _z_monomial_weights(rank, degree):
     return [w for w in itertools.product(range(degree + 1), repeat=rank)
@@ -304,6 +293,12 @@ class TestOrbitSum:
         order, w, N = case
         assert (dict(integrals._engine_pass.__wrapped__(w, N, order)[order - 2])
                 == ref.placement_engine(*case))
+
+    def test_an_order_five_point(self):
+        # one monomial at order 5: every monomial of weighted degree <= 2
+        # would take about 8 s
+        w, N = (1, 0, 0, 0), 5
+        assert dict(integrals._engine_pass(w, N, 5)[3]) == ref.placement_engine(5, w, N)
 
 
 # N -> the weighted degree of the monomials on which one engine pass is
@@ -553,7 +548,7 @@ class TestPackedDelta:
     @given(_delta_case(), _intpoly(4, nonzero=True))
     def test_matches_the_tuple_reference(self, case, q):
         coeffs, a, b = case
-        want, _ = step_reference.delta_at(coeffs, 1, a, b)
+        want, _ = step_reference.delta_at(coeffs, a, b)
         packed = integrals._packed_delta(coeffs, _norm1(a), _norm1(b))
         assert integrals._delta_at(packed, a, b) == want
         # a product with q of ‖q‖_1 <= lift decodes at the width returned
@@ -568,7 +563,7 @@ class TestPackedDelta:
         # packed for the unit point, the entry is too narrow for most
         # points: the evaluation re-packs its rows, and leaves them as they were
         coeffs, a, b = case
-        want, _ = step_reference.delta_at(coeffs, 1, a, b)
+        want, _ = step_reference.delta_at(coeffs, a, b)
         packed = integrals._packed_delta(coeffs, 1, 1)
         rows = dict(packed[2])
         assert integrals._delta_at(packed, a, b) == want
@@ -583,7 +578,7 @@ class TestPackedDelta:
         assert packed[0] == 64
         a, b = (), (2,)
         W, vals = integrals._delta_eval(packed, a, b)
-        want, _ = step_reference.delta_at(coeffs, 1, a, b)
+        want, _ = step_reference.delta_at(coeffs, a, b)
         assert want == {(0, 0): (1 << 63,)} and W == 128
         assert {w: _unpack(x, W) for w, x in vals.items()} == want
         assert _unpack(vals[(0, 0)], 64) != want[(0, 0)]
@@ -620,6 +615,19 @@ class TestCalibration:
     @pytest.mark.parametrize("N", range(2, 8))
     def test_equals_the_fit(self, N):
         assert calibrate(N) == calibration_reference.fit(N)
+
+    @pytest.mark.parametrize("N", range(2, 8))
+    def test_offsets_are_the_vacuum_e(self, N):
+        # calibrate's offsets and Δ's read one integer e_j of the vacuum: on
+        # the constant 1, which every image kills, the coefficient of
+        # u^(N-j) is (-1)^j N^j e_j κ^j, and there is none where e_j = 0
+        cal = calibrate(N)
+        one = (0,) * (N - 1)
+        coeffs = integrals._delta({one: (1,)}, N)
+        for j in range(2, N + 1):
+            e = integrals._vacuum_e(N, j)
+            assert cal.offsets[j] == kr(e) * kappa() ** j
+            assert coeffs[N - j] == ({one: (0,) * j + ((-1) ** j * N ** j * e,)} if e else {})
 
     def test_needs_two_particles(self):
         with pytest.raises(ValueError) as err:
